@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,13 +90,16 @@ TEXT_REF_WORDS = {"passage", "text", "stated", "states", "according"}
 _ORDINAL_MAP = {"second": 2, "2nd": 2, "third": 3, "3rd": 3,
                 "fourth": 4, "4th": 4, "fifth": 5, "5th": 5}
 
+#: attribute name under which the view is memoized on the frozen context.
+_VIEW_SLOT = "_evidence_memo"
+
 
 @dataclass(frozen=True)
 class EvidenceView:
     """Pre-digested evidence: table rows + records extracted from text.
 
     ``rows`` maps are ``{column: Value}``; ``source`` parallels rows with
-    "table" / "text".  Built once per context and cached by featurizers.
+    "table" / "text".  Built once per context by :meth:`of`.
     """
 
     columns: tuple[str, ...]
@@ -106,6 +109,27 @@ class EvidenceView:
     sources: tuple[str, ...]
     table_vocab: frozenset[str]
     text_vocab: frozenset[str]
+
+    @staticmethod
+    def of(context: TableContext) -> "EvidenceView":
+        """The context's view, built on first use and memoized on it.
+
+        The memo sits in the frozen context's ``__dict__``, like
+        ``Value``'s ``_*_memo`` slots and ``Table``'s ``_columnar_memo``:
+        it is not a dataclass field, so equality, hashing, ``repr`` and
+        ``to_json`` never see it, and it is freed with its context.  The
+        QA candidate generator and the verification featurizer share
+        one view per context.  Keyed by instance, not ``uid``: pipelines
+        derive many distinct contexts (sub-tables, stripped paragraphs)
+        that share a uid.  Two threads racing on one context both build
+        the same view (a pure function of the frozen context), so the
+        last write is as good as the first.
+        """
+        view = context.__dict__.get(_VIEW_SLOT)
+        if view is None:
+            view = EvidenceView.build(context)
+            object.__setattr__(context, _VIEW_SLOT, view)
+        return view
 
     @staticmethod
     def build(context: TableContext) -> "EvidenceView":
@@ -190,12 +214,6 @@ class VerificationFeaturizer:
     """Claim × evidence → feature vector for fact verification."""
 
     hash_dim: int = HASH_DIM
-    #: keyed by context object identity (NOT uid: pipelines derive many
-    #: distinct contexts — sub-tables, stripped paragraphs — that share
-    #: a uid).  The context is kept in the entry so its id() stays live.
-    _cache: dict[int, tuple[TableContext, EvidenceView]] = field(
-        default_factory=dict, repr=False
-    )
 
     #: dense feature names, fixed order (tests assert this contract).
     DENSE_FEATURES = (
@@ -240,7 +258,7 @@ class VerificationFeaturizer:
         return self.featurize(sample.sentence, sample.context)
 
     def featurize(self, claim: str, context: TableContext) -> np.ndarray:
-        view = self._view(context)
+        view = EvidenceView.of(context)
         dense = self._dense(claim, view)
         hashed = self._hashed(claim, view)
         return np.concatenate([dense, hashed])
@@ -250,16 +268,13 @@ class VerificationFeaturizer:
             return np.zeros((0, self.dim))
         return np.stack([self.features(sample) for sample in samples])
 
-    # -- internals --------------------------------------------------------------
-    def _view(self, context: TableContext) -> EvidenceView:
-        key = id(context)
-        entry = self._cache.get(key)
-        if entry is not None and entry[0] is context:
-            return entry[1]
-        view = EvidenceView.build(context)
-        self._cache[key] = (context, view)
-        return view
+    def __setstate__(self, state: dict) -> None:
+        # Artifacts pickled while this class still kept an id-keyed view
+        # cache carry it, training contexts and all; drop it on load.
+        state.pop("_cache", None)
+        self.__dict__.update(state)
 
+    # -- internals --------------------------------------------------------------
     def _hashed(self, claim: str, view: EvidenceView) -> np.ndarray:
         out = np.zeros(self.hash_dim)
         for token in tokenize(claim):

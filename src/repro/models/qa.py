@@ -148,21 +148,15 @@ class CandidateGenerator:
     def __init__(self, answer_source: str = "all", max_candidates: int = 160):
         self.answer_source = answer_source
         self.max_candidates = max_candidates
-        # keyed by context object identity (uids are shared between the
-        # original context and its pipeline-derived variants).
-        self._views: dict[int, tuple[TableContext, EvidenceView]] = {}
 
-    def view(self, context: TableContext) -> EvidenceView:
-        key = id(context)
-        entry = self._views.get(key)
-        if entry is not None and entry[0] is context:
-            return entry[1]
-        view = EvidenceView.build(context)
-        self._views[key] = (context, view)
-        return view
+    def __setstate__(self, state: dict) -> None:
+        # Artifacts pickled while this class still kept an id-keyed view
+        # cache carry it, training contexts and all; drop it on load.
+        state.pop("_views", None)
+        self.__dict__.update(state)
 
     def generate(self, question: str, context: TableContext) -> list[Candidate]:
-        view = self.view(context)
+        view = EvidenceView.of(context)
         question_lower = " ".join(tokenize(question))
         numbers = extract_numbers(question)
         names = view.row_names()
@@ -650,9 +644,9 @@ class TagOpQA:
         shape, perturbing low-order bits and, at a near-tie, the
         argmax), and the contract here is that batching can never
         change an answer.  Cross-sample amortization therefore lives in
-        shared read-only state (the candidate generator's per-context
-        evidence-view memo, the template pools), which repeated
-        contexts in a batch hit for free.
+        shared read-only state (the evidence view memoized on each
+        context, the template pools), which repeated contexts in a
+        batch hit for free.
         """
         return [self.predict(sample) for sample in samples]
 

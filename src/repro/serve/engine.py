@@ -13,8 +13,9 @@ coalesces queued requests of one task into a micro-batch — up to
 oldest request arrived — and runs the whole batch through the model in
 one call (``predict_batch`` for QA, list-based ``predict`` for the
 verifier).  Every worker owns an independent unpickled *replica* of each
-model, so inference never takes a lock and a mutable per-model cache
-(e.g. the QA candidate generator's view memo) cannot race.
+model, so inference never takes a lock.  Models keep no per-request
+state: the evidence view a request's context needs is memoized on the
+context itself and is freed with it once the response is out.
 
 Accounting invariant, checked by ``/metrics`` consumers and the tests::
 
@@ -698,6 +699,9 @@ class InferenceEngine:
                 )
                 replicas[task] = (slot, model)
             self._run_batch(task, slot, replicas[task][1], batch)
+            # an idle worker must not pin its last batch (and the
+            # requests' contexts) while it waits for the next one
+            del taken, batch
 
     def _pick_task_locked(self) -> str | None:
         """The task whose queue head has waited longest (FIFO across tasks)."""

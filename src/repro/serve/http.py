@@ -90,6 +90,7 @@ from repro.serve.engine import (
 from repro.serve.registry import TASK_ASK, TASK_QA, TASK_VERIFY
 from repro.serve.stats import nearest_rank_percentiles
 from repro.tables.context import TableContext
+from repro.tables.serialize import linearize_table
 
 #: request bodies beyond this are refused (protects the JSON parser).
 MAX_BODY_BYTES = 16 << 20
@@ -432,8 +433,12 @@ def execute_ask(
         }
     best = hits[0]
     retrieval["chosen"] = best.doc_id
-    retrieval["passage"] = retriever.passage(best.doc_id, max_rows=2)
+    # one store read per ask: the passage (as ``Retriever.passage``
+    # renders it) comes from the context the model answers over.
     context = retriever.fetch(best.doc_id)
+    retrieval["passage"] = linearize_table(
+        context.table, max_rows=2, style="passage"
+    )
     report: dict[str, Any] | None = None
     if sanitize:
         context, report_obj = sanitize_context(context)
@@ -490,6 +495,11 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
+    # TCP_NODELAY on every accepted socket.  A response goes out in two
+    # writes (headers, then body); with Nagle's algorithm on, the body
+    # waits for the client's delayed ACK of the headers, which stalls
+    # every back-to-back request on a keep-alive connection by 40+ ms.
+    disable_nagle_algorithm = True
 
     @property
     def engine(self) -> InferenceEngine:

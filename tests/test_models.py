@@ -347,3 +347,58 @@ class TestBaselines:
         ]
         model = MajorityVerifier().fit(samples)
         assert model.accuracy(samples) == 1.0
+
+
+class TestEvidenceViewMemo:
+    def test_memo_is_shared_and_invisible(self, players_context):
+        from repro.models.features import EvidenceView
+        from repro.tables.context import TableContext
+
+        twin = TableContext.from_json(players_context.to_json())
+        before = (repr(players_context), players_context.to_json())
+        view = EvidenceView.of(players_context)
+        assert EvidenceView.of(players_context) is view
+        # not a dataclass field: value semantics never see the memo
+        assert repr(players_context) == before[0]
+        assert players_context.to_json() == before[1]
+        assert players_context == twin
+        # keyed by instance: an equal context gets its own, equal view
+        assert EvidenceView.of(twin) is not view
+        assert EvidenceView.of(twin) == view
+
+    def test_concurrent_first_use_agrees(self, players_context):
+        # Engine workers may race to build one context's view; each
+        # racer builds the same pure derivation, so every caller sees an
+        # equal view and one of them ends up memoized.
+        import sys
+        import threading
+
+        from repro.models.features import EvidenceView
+        from repro.tables.context import TableContext
+
+        payload = players_context.to_json()
+        expected = EvidenceView.build(TableContext.from_json(payload))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                context = TableContext.from_json(payload)
+                barrier = threading.Barrier(8, timeout=10)
+                views = []
+
+                def first_use():
+                    barrier.wait()
+                    views.append(EvidenceView.of(context))
+
+                threads = [threading.Thread(target=first_use) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(views) == 8
+                assert all(view == expected for view in views)
+                memo = EvidenceView.of(context)
+                assert any(view is memo for view in views)
+        finally:
+            sys.setswitchinterval(interval)

@@ -78,3 +78,21 @@ def test_verifier_round_trip_predictions_identical(
         for i, claim in enumerate(claims)
     ]
     assert clone.predict(samples) == tiny_verifier.predict(samples)
+
+
+def test_fresh_artifacts_carry_no_contexts(serve_context):
+    # Evidence views are memoized on the contexts, not on the models, so
+    # training leaves no context (or view) behind in the pickled model.
+    from repro.models.qa import QAConfig, TagOpQA
+    from repro.models.verifier import FactVerifier, VerifierConfig
+
+    from .conftest import qa_lookup_samples, verification_samples
+
+    qa = TagOpQA(QAConfig(epochs=2, seed=0))
+    qa.fit(qa_lookup_samples(serve_context))
+    verifier = FactVerifier(VerifierConfig(epochs=2, seed=0))
+    verifier.fit(verification_samples(serve_context))
+    for model in (qa, verifier):
+        payload = pickle.dumps(model, protocol=4)
+        assert b"TableContext" not in payload
+        assert b"EvidenceView" not in payload

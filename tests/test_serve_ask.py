@@ -303,3 +303,30 @@ class TestAskLoadgen:
         assert report.completed == 0
         assert report.failures["retrieval_miss"] == len(workload)
         assert report.errors == len(workload)
+
+
+class TestAskReadsOnce:
+    def test_one_store_read_per_ask_and_passage_unchanged(
+        self, monkeypatch, tiny_qa_model, store_root
+    ):
+        retriever = Retriever.open(store_root)
+        gets = []
+        get = TableStore.get
+
+        def counting_get(store, doc_id):
+            gets.append(doc_id)
+            return get(store, doc_id)
+
+        monkeypatch.setattr(TableStore, "get", counting_get)
+        with InferenceEngine({TASK_QA: tiny_qa_model}) as engine:
+            client = ServeClient(engine, retriever=retriever)
+            for item in _gold(3):
+                gets.clear()
+                response = client.ask(item.question)
+                assert response.ok, response.error
+                chosen = response.retrieval["chosen"]
+                assert gets == [chosen]
+                # the echoed passage is what Retriever.passage renders
+                assert response.retrieval["passage"] == retriever.passage(
+                    chosen, max_rows=2
+                )

@@ -565,3 +565,84 @@ class TestSlowFault:
         # zero-overhead-when-disabled: the hot path carries a single
         # attribute that is None, not a disabled gate object.
         assert engine._chaos is None
+
+
+class TestEvidenceViewLifetime:
+    """Served contexts own their evidence views; models keep none."""
+
+    @staticmethod
+    def _distinct_contexts(base, n):
+        from repro.tables.context import TableContext
+
+        contexts = []
+        for index in range(n):
+            payload = base.to_json()
+            payload["uid"] = f"served-{index}"
+            contexts.append(TableContext.from_json(payload))
+        return contexts
+
+    def test_served_contexts_are_freed(
+        self, tiny_qa_model, tiny_verifier, serve_context
+    ):
+        import gc
+        import time
+        import weakref
+
+        with InferenceEngine(
+            {TASK_QA: tiny_qa_model, TASK_VERIFY: tiny_verifier},
+            EngineConfig(workers=2, max_batch_size=4),
+        ) as engine:
+            refs = []
+            for index, context in enumerate(
+                self._distinct_contexts(serve_context, 12)
+            ):
+                qa = engine.infer(
+                    TASK_QA, f"what is the points of bo chen {index} ?",
+                    context,
+                )
+                verify = engine.infer(
+                    TASK_VERIFY, f"bo chen has a points of {index}", context
+                )
+                assert qa.ok and verify.ok
+                refs.append(weakref.ref(context))
+            del context
+            # checked while the engine (and its model replicas) still
+            # run; a worker may still be finishing the batch whose
+            # response was just delivered, so allow it a moment.
+            deadline = time.monotonic() + 5.0
+            while True:
+                gc.collect()
+                alive = [ref() for ref in refs if ref() is not None]
+                if not alive or time.monotonic() > deadline:
+                    break
+                del alive
+                time.sleep(0.01)
+            assert alive == []
+
+    def test_view_built_once_per_context_across_tasks(
+        self, monkeypatch, tiny_qa_model, tiny_verifier, serve_context
+    ):
+        from repro.models.features import EvidenceView
+
+        built = []
+        build = EvidenceView.build
+
+        def counting_build(context):
+            built.append(context.uid)
+            return build(context)
+
+        monkeypatch.setattr(EvidenceView, "build", staticmethod(counting_build))
+        contexts = self._distinct_contexts(serve_context, 3)
+        with InferenceEngine(
+            {TASK_QA: tiny_qa_model, TASK_VERIFY: tiny_verifier},
+            EngineConfig(workers=2, max_batch_size=4, cache_size=0),
+        ) as engine:
+            for context in contexts:
+                for _ in range(2):
+                    assert engine.infer(
+                        TASK_QA, "what is the points of bo chen ?", context
+                    ).ok
+                    assert engine.infer(
+                        TASK_VERIFY, "bo chen has a points of 28", context
+                    ).ok
+        assert sorted(built) == sorted(c.uid for c in contexts)

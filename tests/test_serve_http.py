@@ -824,3 +824,54 @@ class TestPoolHealthz:
             server.shutdown()
             server.server_close()
             pool.stop(drain=True)
+
+
+class TestKeepAliveLatency:
+    def test_accepted_socket_has_tcp_nodelay(self, served):
+        import socket
+
+        seen = []
+
+        class Probe(served.RequestHandlerClass):
+            def setup(self):
+                super().setup()
+                seen.append(self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                ))
+
+        served.RequestHandlerClass = Probe
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{served.port}/healthz", timeout=30.0
+        ) as reply:
+            reply.read()
+        assert len(seen) == 1 and seen[0] != 0
+
+    def test_back_to_back_requests_do_not_stall(self, served, serve_context):
+        # With Nagle's algorithm on, the body write of each response
+        # waits for the client's delayed ACK of the header write: a
+        # round trip of 40+ ms however fast the model is.
+        import http.client
+        import statistics
+
+        body = json.dumps({
+            "claim": "bo chen has a points of 28",
+            "context": serve_context.to_json(),
+        }).encode("utf-8")
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", served.port, timeout=30.0
+        )
+        round_trips = []
+        try:
+            for _ in range(20):
+                started = time.monotonic()
+                connection.request(
+                    "POST", "/v1/verify", body,
+                    {"Content-Type": "application/json"},
+                )
+                reply = connection.getresponse()
+                payload = json.loads(reply.read())
+                round_trips.append(time.monotonic() - started)
+                assert reply.status == 200 and payload["ok"]
+        finally:
+            connection.close()
+        assert statistics.median(round_trips) < 0.020, round_trips

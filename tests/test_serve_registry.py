@@ -161,3 +161,45 @@ class TestIntegrity:
         assert schema_fingerprint(tiny_qa_model) != schema_fingerprint(
             tiny_verifier
         )
+
+
+class TestLegacyViewCaches:
+    """Artifacts pickled while the featurizers kept id-keyed view caches."""
+
+    def test_legacy_artifacts_load_and_predict_identically(
+        self, tmp_path, tiny_qa_model, tiny_verifier, serve_context
+    ):
+        import pickle
+        from pathlib import Path
+
+        from repro.models.features import EvidenceView
+
+        qa = pickle.loads(pickle.dumps(tiny_qa_model))
+        verifier = pickle.loads(pickle.dumps(tiny_verifier))
+        cached = {
+            id(serve_context): (
+                serve_context, EvidenceView.build(serve_context)
+            )
+        }
+        qa.generator._views = dict(cached)
+        verifier.featurizer._cache = dict(cached)
+        registry = ModelRegistry(tmp_path)
+        for name, model in (("qa", qa), ("verifier", verifier)):
+            record = registry.save(model, name)
+            # the artifact really is in the old layout
+            assert b"TableContext" in Path(record.path).read_bytes()
+        loaded_qa = registry.load("qa").model
+        loaded_verifier = registry.load("verifier").model
+        # the stale caches are dropped on load, not carried along
+        assert not hasattr(loaded_qa.generator, "_views")
+        assert not hasattr(loaded_verifier.featurizer, "_cache")
+        qa_samples = qa_lookup_samples(serve_context)
+        assert json.dumps(
+            [loaded_qa.predict(sample) for sample in qa_samples]
+        ) == json.dumps([tiny_qa_model.predict(sample) for sample in qa_samples])
+        claims = verification_samples(serve_context)
+        assert json.dumps(
+            [label.value for label in loaded_verifier.predict(claims)]
+        ) == json.dumps(
+            [label.value for label in tiny_verifier.predict(claims)]
+        )
