@@ -76,6 +76,9 @@ class _StubQABackend:
         return {"models": {TASK_QA: "stub-qa"}, "uptime_s": 0.0,
                 "draining": False}
 
+    def health(self):
+        return {"status": "ok", "models": {TASK_QA: "stub-qa"}}
+
 
 @pytest.fixture(scope="module")
 def store_root(tmp_path_factory):

@@ -21,9 +21,9 @@ Usage::
     PYTHONPATH=src python scripts/serve_smoke.py REGISTRY_DIR \\
         CONTEXTS_JSONL [--replicas N] [--reload]
 
-``--replicas N`` runs the server through the multi-process replica
-pool instead of the in-process engine.  Exits non-zero (assertion) on
-any violation.
+``--replicas N`` runs the server's pool with N replica processes
+instead of one in-process slot.  Exits non-zero (assertion) on any
+violation.
 """
 
 from __future__ import annotations

@@ -502,7 +502,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import (
         EngineConfig,
         HedgePolicy,
-        InferenceEngine,
         ModelRegistry,
         PoolConfig,
         RegistryWatcher,
@@ -528,62 +527,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
     )
 
-    if args.replicas > 0:
-        # multi-process replica pool: models load inside the replicas.
-        try:
-            backend = pool_from_registry(
-                args.registry,
-                names=names,
-                config=PoolConfig(
-                    replicas=args.replicas,
-                    engine=engine_config,
-                    hedge=None if args.no_hedge else HedgePolicy(),
-                    breaker_threshold=(
-                        0 if args.no_breaker
-                        else PoolConfig.breaker_threshold
-                    ),
+    # --replicas 0 is one in-process slot; N > 0 spawns N replica
+    # processes, which load their models themselves.
+    try:
+        backend = pool_from_registry(
+            args.registry,
+            names=names,
+            config=PoolConfig(
+                replicas=max(1, args.replicas),
+                in_process=args.replicas == 0,
+                engine=engine_config,
+                hedge=None if args.no_hedge else HedgePolicy(),
+                breaker_threshold=(
+                    0 if args.no_breaker
+                    else PoolConfig.breaker_threshold
                 ),
-            )
-        except Exception as error:
-            print(str(error), file=sys.stderr)
-            return 2
+            ),
+        )
         backend.start()
-        for task, model_id in sorted(backend.stats()["models"].items()):
-            print(f"loaded {model_id} for task {task}")
-
-        def reloader() -> dict:
-            return {"mode": "pool", **backend.reload()}
-
-    else:
-        models = {}
-        for name in names:
-            loaded = registry.load(name)
-            task = loaded.record.task
-            if task in models:
-                print(
-                    f"both {models[task].record.model_id} and "
-                    f"{loaded.record.model_id} serve task {task!r}; pass "
-                    "--model to pick one per task",
-                    file=sys.stderr,
-                )
-                return 2
-            models[task] = loaded
-        backend = InferenceEngine(models, engine_config)
-        backend.start()
-        for task, loaded in sorted(models.items()):
-            print(f"loaded {loaded.record.model_id} for task {task}")
-
-        def reloader() -> dict:
-            # in-place engine swap: re-resolve each served name's
-            # default and swap only the tasks whose version moved.
-            serving = backend.stats()["models"]
-            changes = {}
-            for name in names:
-                fresh = registry.load(name)
-                task = fresh.record.task
-                if serving.get(task) != fresh.record.model_id:
-                    changes[task] = backend.swap_model(task, fresh)
-            return {"mode": "engine", "changes": changes}
+    except Exception as error:
+        print(str(error), file=sys.stderr)
+        return 2
+    for task, model_id in sorted(backend.stats()["models"].items()):
+        print(f"loaded {model_id} for task {task}")
+    reloader = backend.reload
 
     retriever = None
     if args.store:
@@ -606,8 +573,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retriever=retriever,
     )
     mode = (
-        f"replicas={args.replicas}" if args.replicas > 0
-        else "in-process engine"
+        f"replicas={args.replicas}" if args.replicas > 0 else "in-process"
     )
     print(
         f"serving on http://{args.host}:{server.port} "
@@ -643,9 +609,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # can block signal delivery on some platforms).
     while not stop.wait(0.2):
         pass
-    # Order matters for a clean drain: stop accepting connections, join
-    # the in-flight HTTP handler threads (the backend is still running,
-    # so they finish normally), then drain whatever is still queued.
+    # Order matters for a clean drain: stop accepting connections, then
+    # drain the backend, which returns once every request it accepted
+    # (including those of still-running handler threads) is booked.
     server.shutdown()
     server.server_close()
     backend.stop(drain=True)

@@ -49,25 +49,31 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def fsync_handle(handle: IO[str]) -> None:
-    """Flush a text handle and push its bytes to stable storage."""
+def fsync_handle(handle: IO) -> None:
+    """Flush a handle and push its bytes to stable storage."""
     handle.flush()
     os.fsync(handle.fileno())
 
 
 @contextmanager
-def atomic_writer(path: str | Path, encoding: str = "utf-8") -> Iterator[IO[str]]:
-    """A text handle whose contents appear at ``path`` all-or-nothing.
+def atomic_writer(
+    path: str | Path, encoding: str | None = "utf-8"
+) -> Iterator[IO]:
+    """A handle whose contents appear at ``path`` all-or-nothing.
 
-    The handle writes to ``path + ".tmp"``; on clean exit the temp file
-    is fsynced and atomically renamed over ``path``.  On an exception
-    the temp file is removed and ``path`` is left exactly as it was —
-    including not existing at all.
+    A text handle, or a binary one with ``encoding=None``.  The handle
+    writes to ``path + ".tmp"``; on clean exit the temp file is fsynced
+    and atomically renamed over ``path``.  On an exception the temp file
+    is removed and ``path`` is left exactly as it was — including not
+    existing at all.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    handle = tmp.open("w", encoding=encoding)
+    handle = (
+        tmp.open("wb") if encoding is None
+        else tmp.open("w", encoding=encoding)
+    )
     try:
         yield handle
         fsync_handle(handle)
@@ -87,29 +93,4 @@ def atomic_write_text(
     path = Path(path)
     with atomic_writer(path, encoding=encoding) as handle:
         handle.write(text)
-    return path
-
-
-def atomic_write_bytes(path: str | Path, payload: bytes) -> Path:
-    """Atomically replace ``path`` with ``payload`` (binary artifacts).
-
-    Same temp-file + fsync + ``os.replace`` recipe as
-    :func:`atomic_writer`, for binary payloads such as pickled model
-    artifacts in the serving registry.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    handle = tmp.open("wb")
-    try:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    except BaseException:
-        handle.close()
-        tmp.unlink(missing_ok=True)
-        raise
-    else:
-        handle.close()
-        os.replace(tmp, path)
     return path

@@ -1,31 +1,24 @@
 """Evaluator for parsed SELECT queries, with highlighted-cell tracking.
 
-Two implementations live here, and they are property-tested to produce
-identical :class:`ExecutionResult`s (``tests/
-test_prop_columnar_row_equivalence.py``):
-
-* the **columnar engine** (default) — operates on the lazily built
-  primitive arrays of :mod:`repro.tables.columnar`: WHERE conditions
-  run as tight loops over validity masks and pre-coerced numeric /
-  interned string arrays with every literal branch hoisted out of the
-  loop, ORDER BY sorts row indices on a precomputed key array, and
-  DISTINCT counts canonical-key tuples.  ``Value`` objects are touched
-  only to materialize the result.
-* the **row path** — the pre-columnar implementation, kept for one
-  release behind ``REPRO_ROW_EXECUTOR=1`` as the differential-testing
-  oracle and escape hatch.
+A columnar engine over the lazily built primitive arrays of
+:mod:`repro.tables.columnar`: WHERE conditions run as tight loops over
+validity masks and pre-coerced numeric / interned string arrays with
+every literal branch hoisted out of the loop, ORDER BY sorts row indices
+on a precomputed key array, and DISTINCT counts canonical-key tuples.
+``Value`` objects are touched only to materialize the result.  Results
+are property-tested against stdlib ``sqlite3``
+(``tests/test_prop_sql_oracle.py``,
+``tests/test_prop_columnar_row_equivalence.py``).
 
 WHERE conditions short-circuit: each successive condition scans only
 the rows that survived the previous one, and the per-condition survivor
-sets (not the scanned sets) are what lands in ``highlighted_cells`` —
-both paths agree on this, by construction and by property test.
+sets (not the scanned sets) are what lands in ``highlighted_cells``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
 
 from repro.errors import ProgramExecutionError, ProgramTypeError
 from repro.programs.base import ExecutionResult
@@ -40,11 +33,6 @@ from repro.programs.sql.ast import (
 from repro.tables.columnar import ColumnarTable, ColumnVector, columnar_view
 from repro.tables.table import Table
 from repro.tables.values import Value, ValueType, format_number
-
-#: set to any non-empty value to route execution through the
-#: pre-columnar row-oriented path (kept for one release as the
-#: differential oracle; checked per query so tests can toggle it).
-ROW_EXECUTOR_FLAG = "REPRO_ROW_EXECUTOR"
 
 _ORDER_OPS = {
     CompOp.LT: operator.lt,
@@ -61,17 +49,6 @@ def execute_sql(table: Table, query: SelectQuery) -> ExecutionResult:
     read while filtering, ordering, or projecting, which the
     Table-To-Text operator and the FEVEROUS score both consume.
     """
-    if os.environ.get(ROW_EXECUTOR_FLAG):
-        return _execute_sql_rows(table, query)
-    return _execute_sql_columnar(table, query)
-
-
-# ---------------------------------------------------------------------------
-# Columnar engine (default)
-# ---------------------------------------------------------------------------
-
-
-def _execute_sql_columnar(table: Table, query: SelectQuery) -> ExecutionResult:
     highlighted: set[tuple[int, str]] = set()
     view = columnar_view(table)
 
@@ -213,8 +190,8 @@ def _order_mask(vector: ColumnVector, condition: Condition) -> list[bool]:
     """Full-column ``<`` / ``>`` / ``<=`` / ``>=`` survivor mask.
 
     Numeric comparison when *both* sides have ``as_number`` semantics,
-    case-folded string comparison otherwise — exactly the row path's
-    try/except fallback, decided per cell with the literal hoisted.
+    case-folded string comparison otherwise, decided per cell with the
+    literal hoisted.
     """
     literal = condition.literal
     compare = _ORDER_OPS[condition.op]
@@ -353,193 +330,6 @@ def _scalar_columnar(
             f"{len(values)} values for column {item.column!r}"
         )
     return values[0]
-
-
-# ---------------------------------------------------------------------------
-# Row-oriented path (pre-columnar; REPRO_ROW_EXECUTOR=1)
-# ---------------------------------------------------------------------------
-
-
-def _execute_sql_rows(table: Table, query: SelectQuery) -> ExecutionResult:
-    """The pre-columnar executor, preserved verbatim as the oracle."""
-    highlighted: set[tuple[int, str]] = set()
-
-    row_indices = _filter(table, query.conditions, highlighted)
-
-    if query.order is not None:
-        column_index = table.schema.index(query.order.column)
-        row_indices = sorted(
-            row_indices,
-            key=lambda i: table.rows[i][column_index]._key(),
-            reverse=query.order.descending,
-        )
-        for index in row_indices:
-            highlighted.add((index, table.schema.columns[column_index].name))
-
-    if query.limit is not None:
-        row_indices = row_indices[: query.limit]
-
-    values: list[Value] = []
-    for item in query.items:
-        values.extend(_evaluate_item(table, item, row_indices, highlighted))
-
-    return ExecutionResult(
-        values=tuple(values), highlighted_cells=frozenset(highlighted)
-    )
-
-
-def _filter(
-    table: Table,
-    conditions: tuple[Condition, ...],
-    highlighted: set[tuple[int, str]],
-) -> list[int]:
-    """Row indices satisfying every condition, recording touched cells."""
-    kept = list(range(table.n_rows))
-    for condition in conditions:
-        column_index = table.schema.index(condition.column)
-        column_name = table.schema.columns[column_index].name
-        surviving: list[int] = []
-        for row_index in kept:
-            cell = table.rows[row_index][column_index]
-            if _matches(cell, condition):
-                surviving.append(row_index)
-                highlighted.add((row_index, column_name))
-        kept = surviving
-    return kept
-
-
-def _matches(cell: Value, condition: Condition) -> bool:
-    literal = condition.literal
-    if condition.op is CompOp.EQ:
-        return cell.equals(literal)
-    if condition.op is CompOp.NEQ:
-        return not cell.is_null and not cell.equals(literal)
-    if cell.is_null:
-        return False
-    try:
-        left = cell.as_number()
-        right = literal.as_number()
-    except Exception:
-        left_key, right_key = cell.raw.lower(), literal.raw.lower()
-        if condition.op is CompOp.LT:
-            return left_key < right_key
-        if condition.op is CompOp.GT:
-            return left_key > right_key
-        if condition.op is CompOp.LE:
-            return left_key <= right_key
-        return left_key >= right_key
-    if condition.op is CompOp.LT:
-        return left < right
-    if condition.op is CompOp.GT:
-        return left > right
-    if condition.op is CompOp.LE:
-        return left <= right
-    return left >= right
-
-
-def _evaluate_item(
-    table: Table,
-    item: ColumnItem | ArithmeticItem,
-    row_indices: list[int],
-    highlighted: set[tuple[int, str]],
-) -> list[Value]:
-    if isinstance(item, ArithmeticItem):
-        left = _scalar(table, item.left, row_indices, highlighted)
-        right = _scalar(table, item.right, row_indices, highlighted)
-        number = (
-            left.as_number() + right.as_number()
-            if item.op == "+"
-            else left.as_number() - right.as_number()
-        )
-        return [Value.number(number)]
-    return _column_item_values(table, item, row_indices, highlighted)
-
-
-def _column_item_values(
-    table: Table,
-    item: ColumnItem,
-    row_indices: list[int],
-    highlighted: set[tuple[int, str]],
-) -> list[Value]:
-    if item.aggregate is Aggregate.COUNT:
-        if item.column == "*":
-            return [Value.number(len(row_indices))]
-        cells = _column_cells(table, item.column, row_indices, highlighted)
-        cells = [cell for cell in cells if not cell.is_null]
-        if item.distinct:
-            # canonical_key matches Value.equals semantics, so "1,000",
-            # "1000", and "$1,000" collapse to one distinct value.
-            return [Value.number(len({c.canonical_key() for c in cells}))]
-        return [Value.number(len(cells))]
-
-    if item.column == "*":
-        out: list[Value] = []
-        for row_index in row_indices:
-            for column, cell in zip(table.schema, table.rows[row_index]):
-                highlighted.add((row_index, column.name))
-                out.append(cell)
-        return out
-
-    cells = _column_cells(table, item.column, row_indices, highlighted)
-    if item.aggregate is None:
-        return [cell for cell in cells if not cell.is_null]
-
-    numbers = _as_numbers(cells, item.column)
-    if not numbers:
-        return []
-    if item.aggregate is Aggregate.SUM:
-        return [Value.number(sum(numbers))]
-    if item.aggregate is Aggregate.AVG:
-        return [Value.number(sum(numbers) / len(numbers))]
-    if item.aggregate is Aggregate.MIN:
-        return [Value.number(min(numbers))]
-    if item.aggregate is Aggregate.MAX:
-        return [Value.number(max(numbers))]
-    raise ProgramExecutionError(f"unsupported aggregate: {item.aggregate}")
-
-
-def _scalar(
-    table: Table,
-    item: ColumnItem,
-    row_indices: list[int],
-    highlighted: set[tuple[int, str]],
-) -> Value:
-    values = _column_item_values(table, item, row_indices, highlighted)
-    if len(values) != 1:
-        raise ProgramExecutionError(
-            "arithmetic projection requires scalar operands, got "
-            f"{len(values)} values for column {item.column!r}"
-        )
-    return values[0]
-
-
-def _column_cells(
-    table: Table,
-    column: str,
-    row_indices: list[int],
-    highlighted: set[tuple[int, str]],
-) -> list[Value]:
-    column_index = table.schema.index(column)
-    column_name = table.schema.columns[column_index].name
-    cells = []
-    for row_index in row_indices:
-        highlighted.add((row_index, column_name))
-        cells.append(table.rows[row_index][column_index])
-    return cells
-
-
-def _as_numbers(cells: list[Value], column: str) -> list[float]:
-    numbers: list[float] = []
-    for cell in cells:
-        if cell.is_null:
-            continue
-        try:
-            numbers.append(cell.as_number())
-        except Exception as error:
-            raise ProgramTypeError(
-                f"column {column!r} holds non-numeric value {cell.raw!r}"
-            ) from error
-    return numbers
 
 
 def render_value(value: Value) -> str:

@@ -23,6 +23,10 @@ faults use an ``once_path`` sentinel file created with ``O_EXCL``: the
 first process to claim it injects, every later attempt — in any process
 — passes clean.  This is test-only machinery: with the variable unset,
 :func:`inject` is a dictionary miss and two attribute reads.
+
+The serving fault plan (:mod:`repro.serve.chaos`) rides the same
+machinery: :class:`EnvPlan` is the one environment-variable codec and
+:func:`gate_fires` the one gating rule for both families.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import ReproError
 
@@ -105,41 +109,51 @@ class FaultPlan:
         )
 
 
-def install(plan: FaultPlan) -> None:
-    """Activate ``plan`` for this process and all future children."""
-    os.environ[FAULTS_ENV] = json.dumps(plan.to_json(), sort_keys=True)
+class EnvPlan:
+    """A JSON fault plan carried in one environment variable.
 
+    Children inherit the variable, so installing a plan in the parent
+    arms every process it later starts.  Parsing is cached on the raw
+    value: injector construction and per-context checks parse once.
+    """
 
-def clear() -> None:
-    """Deactivate fault injection."""
-    os.environ.pop(FAULTS_ENV, None)
+    def __init__(self, env: str, decode: Callable[[Any], Any]):
+        self.env = env
+        self._decode = decode
+        self._parsed: tuple[str, Any] | None = None
 
+    def install(self, plan: Any) -> None:
+        """Activate ``plan`` for this process and all future children."""
+        os.environ[self.env] = json.dumps(plan.to_json(), sort_keys=True)
 
-def active_plan() -> FaultPlan | None:
-    """The currently installed plan, or None."""
-    raw = os.environ.get(FAULTS_ENV)
-    if not raw:
-        return None
-    return FaultPlan.from_json(json.loads(raw))
+    def clear(self) -> None:
+        """Deactivate the plan."""
+        os.environ.pop(self.env, None)
 
+    def active(self) -> Any:
+        """The currently installed plan, or None."""
+        raw = os.environ.get(self.env)
+        if not raw:
+            return None
+        if self._parsed is None or self._parsed[0] != raw:
+            self._parsed = (raw, self._decode(json.loads(raw)))
+        return self._parsed[1]
 
-@contextmanager
-def injected(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Install ``plan`` for the duration of a ``with`` block."""
-    install(plan)
-    try:
-        yield plan
-    finally:
-        clear()
+    @contextmanager
+    def injected(self, plan: Any) -> Iterator[Any]:
+        """Install ``plan`` for the duration of a ``with`` block."""
+        self.install(plan)
+        try:
+            yield plan
+        finally:
+            self.clear()
 
 
 def claim_once(path: str) -> bool:
     """Atomically claim a one-shot sentinel; True == we fire the fault.
 
     ``O_EXCL`` makes the claim race-free across processes: exactly one
-    claimant — in any worker, replica, or the parent — wins.  Shared
-    with the serving-side fault injector (:mod:`repro.serve.chaos`),
-    which reuses the same once-sentinel discipline.
+    claimant — in any worker, replica, or the parent — wins.
     """
     try:
         fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -149,8 +163,35 @@ def claim_once(path: str) -> bool:
     return True
 
 
-#: backwards-compatible alias (pre-chaos name).
-_claim_once = claim_once
+def gate_fires(
+    ordinal: int,
+    *,
+    after: int = 0,
+    every: int = 1,
+    count: int | None = None,
+    once_path: str | None = None,
+) -> bool:
+    """Whether a fault fires on the ``ordinal``-th (1-based) gated event.
+
+    The one gating rule of every injected fault, generation and serving
+    alike: skip the first ``after`` events, then fire on every
+    ``every``-th, at most ``count`` times, and — with ``once_path`` —
+    only in the one process that claims the sentinel.  An event is a
+    context's attempt (generation) or a request (serving).
+    """
+    eligible = ordinal - after
+    if eligible < 1 or (eligible - 1) % every:
+        return False
+    if count is not None and (eligible - 1) // every >= count:
+        return False
+    return once_path is None or claim_once(once_path)
+
+
+_plan = EnvPlan(FAULTS_ENV, FaultPlan.from_json)
+install = _plan.install
+clear = _plan.clear
+active_plan = _plan.active
+injected = _plan.injected
 
 
 # -- corruption faults -------------------------------------------------------
@@ -220,11 +261,9 @@ def inject(index: int, attempt: int = 1) -> None:
     if plan is None:
         return
     spec = plan.for_context(index)
-    if spec is None:
-        return
-    if spec.attempts is not None and attempt > spec.attempts:
-        return
-    if spec.once_path is not None and not _claim_once(spec.once_path):
+    if spec is None or not gate_fires(
+        attempt, count=spec.attempts, once_path=spec.once_path
+    ):
         return
     if spec.kind == "slow":
         time.sleep(spec.seconds)

@@ -7,16 +7,16 @@ the path from a trained model to answers over the wire:
 
 * :mod:`repro.serve.registry` — versioned on-disk artifacts with
   integrity manifests (``save_model`` / ``load_model``).
-* :mod:`repro.serve.engine` — admission control, micro-batching,
-  per-worker model replicas, response cache, in-place model swap,
+* :mod:`repro.serve.engine` — one replica's core: admission control,
+  micro-batching, per-worker model replicas, response cache,
   drain-then-stop shutdown.
-* :mod:`repro.serve.pool` — N pre-fork replica processes (shared
-  nothing) behind deterministic routing, with zero-downtime rolling
-  reload from the registry.
+* :mod:`repro.serve.pool` — the serving backend: one in-process slot or
+  N pre-fork replica processes (shared nothing) behind deterministic
+  routing, with zero-downtime rolling reload, health and accounting.
 * :mod:`repro.serve.http` — ``POST /v1/qa``, ``POST /v1/verify``,
   ``POST /v1/ask`` (retrieval-backed QA over a :mod:`repro.store`),
   ``GET /healthz``, ``GET /metrics``, ``POST /v1/admin/reload``;
-  in-process and HTTP clients; serves an engine or a pool.
+  in-process and HTTP clients over a pool.
 * :mod:`repro.serve.loadgen` — deterministic closed-loop *and*
   open-loop (fixed-rate, coordinated-omission-free) load generation
   for benchmarks and smoke tests.

@@ -1,14 +1,14 @@
 """Deterministic fault injection for the serving stack.
 
-The serving twin of :mod:`repro.runtime.faults`: a JSON
-:class:`ServeFaultPlan` travels to replica children through the
-``REPRO_SERVE_FAULTS`` environment variable (spawn children inherit it),
-each child learns its own index from ``REPRO_SERVE_REPLICA``, and
-one-shot faults use the same ``O_EXCL`` once-sentinel discipline
-(:func:`repro.runtime.faults.claim_once`).  Because every gate is
-explicit — replica index, request ordinal, stride, fire budget — a chaos
-test that hangs replica 1 on its third request does so at any worker
-count, forever.
+The serving twin of :mod:`repro.runtime.faults`, on the same machinery:
+a JSON :class:`ServeFaultPlan` travels to replica children through the
+``REPRO_SERVE_FAULTS`` environment variable (an
+:class:`~repro.runtime.faults.EnvPlan`), each child learns its own index
+from ``REPRO_SERVE_REPLICA``, and every fault is gated by
+:func:`~repro.runtime.faults.gate_fires` on its request ordinal.
+Because every gate is explicit — replica index, request ordinal, stride,
+fire budget, once-sentinel — a chaos test that hangs replica 1 on its
+third request does so at any worker count, forever.
 
 Fault kinds and where they fire:
 
@@ -35,14 +35,11 @@ injector-construction time and nothing per request.
 
 from __future__ import annotations
 
-import json
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.errors import IntegrityError
-from repro.runtime.faults import claim_once
+from repro.runtime.faults import EnvPlan, gate_fires
 
 #: environment variable carrying the JSON-encoded plan to replicas.
 SERVE_FAULTS_ENV = "REPRO_SERVE_FAULTS"
@@ -129,40 +126,11 @@ class ServeFaultPlan:
         )
 
 
-def install(plan: ServeFaultPlan) -> None:
-    """Activate ``plan`` for this process and all future children."""
-    os.environ[SERVE_FAULTS_ENV] = json.dumps(plan.to_json(), sort_keys=True)
-
-
-def clear() -> None:
-    """Deactivate serving fault injection."""
-    os.environ.pop(SERVE_FAULTS_ENV, None)
-
-
-@contextmanager
-def injected(plan: ServeFaultPlan) -> Iterator[ServeFaultPlan]:
-    """Install ``plan`` for the duration of a ``with`` block."""
-    install(plan)
-    try:
-        yield plan
-    finally:
-        clear()
-
-
-# parse cache keyed on the raw env string, so repeated injector
-# construction (one per engine, one per replica loop) parses once.
-_parsed: tuple[str, ServeFaultPlan] | None = None
-
-
-def active_plan() -> ServeFaultPlan | None:
-    """The currently installed plan, or None.  Cached on the raw value."""
-    global _parsed
-    raw = os.environ.get(SERVE_FAULTS_ENV)
-    if not raw:
-        return None
-    if _parsed is None or _parsed[0] != raw:
-        _parsed = (raw, ServeFaultPlan.from_json(json.loads(raw)))
-    return _parsed[1]
+_plan = EnvPlan(SERVE_FAULTS_ENV, ServeFaultPlan.from_json)
+install = _plan.install
+clear = _plan.clear
+active_plan = _plan.active
+injected = _plan.injected
 
 
 def current_replica() -> int | None:
@@ -191,7 +159,6 @@ class ChaosInjector:
             if spec.replica is None or spec.replica == replica
         ]
         self._seen = [0] * len(self._specs)
-        self._fired = [0] * len(self._specs)
 
     def __bool__(self) -> bool:
         return bool(self._specs)
@@ -201,24 +168,12 @@ class ChaosInjector:
         hit: ServeFaultSpec | None = None
         for i, spec in enumerate(self._specs):
             self._seen[i] += 1
-            if hit is not None:
-                continue
-            if self._fires(i, spec):
-                self._fired[i] += 1
+            if hit is None and gate_fires(
+                self._seen[i], after=spec.after, every=spec.every,
+                count=spec.count, once_path=spec.once_path,
+            ):
                 hit = spec
         return hit
-
-    def _fires(self, i: int, spec: ServeFaultSpec) -> bool:
-        eligible = self._seen[i] - spec.after
-        if eligible < 1:
-            return False
-        if (eligible - 1) % spec.every != 0:
-            return False
-        if spec.count is not None and self._fired[i] >= spec.count:
-            return False
-        if spec.once_path is not None and not claim_once(spec.once_path):
-            return False
-        return True
 
 
 def replica_injector() -> ChaosInjector | None:

@@ -1,4 +1,4 @@
-"""The serving core: admission control, micro-batching, worker threads.
+"""One replica's core: admission control, micro-batching, worker threads.
 
 Request lifecycle::
 
@@ -16,6 +16,14 @@ verifier).  Every worker owns an independent unpickled *replica* of each
 model, so inference never takes a lock.  Models keep no per-request
 state: the evidence view a request's context needs is memoized on the
 context itself and is freed with it once the response is out.
+
+An engine serves a fixed set of models for its whole life.  It is what
+a :class:`~repro.serve.pool.ReplicaPool` slot runs — inside a replica
+process, or hosted in the frontend's own process — and the pool owns
+everything that spans engines: reload (a fresh engine replaces the old
+one, which drains), health, routing, deadline admission and the
+serving-level accounting.  An engine only expires a request whose
+budget ran out while it was queued.
 
 Accounting invariant, checked by ``/metrics`` consumers and the tests::
 
@@ -38,11 +46,10 @@ import json
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, replace
+from typing import Any, Callable
 
 from repro.errors import (
-    DeadlineExceededError,
     EngineStoppedError,
     OverloadedError,
     RegistryError,
@@ -54,27 +61,20 @@ from repro.sampling.labeler import ClaimLabel
 from repro.serve import chaos
 from repro.serve.registry import (
     TASK_QA,
-    TASK_VERIFY,
     TASKS,
     LoadedModel,
     model_task,
 )
-from repro.serve.stats import nearest_rank, nearest_rank_percentiles
+from repro.serve.stats import nearest_rank_percentiles
 from repro.tables.context import TableContext
 from repro.telemetry import Telemetry
 
 #: latency samples kept per task for percentile estimation.
 _LATENCY_WINDOW = 8192
 
-#: per-model-version latency windows kept for canary comparison; the
-#: oldest window is dropped when a reload pushes past this many
-#: distinct model ids.
-_MODEL_WINDOWS = 8
-
 #: recent per-request compute samples backing the retry-after hint.
-#: Bounded so the estimate tracks the *currently served* model: a
-#: lifetime average would stay stale for the rest of the process
-#: lifetime after a reload to a slower/faster model.
+#: Bounded so the estimate tracks the current load rather than the
+#: process's whole history.
 _RETRY_WINDOW = 512
 
 #: fallback retry-after hint when the engine has no throughput estimate.
@@ -192,17 +192,25 @@ class InferenceResponse:
 class PendingResponse:
     """A slot the caller can wait on for one request's response."""
 
-    __slots__ = ("request", "_event", "_response", "enqueued_at")
+    __slots__ = ("request", "_event", "_response", "enqueued_at", "_on_done")
 
-    def __init__(self, request: InferenceRequest, enqueued_at: float):
+    def __init__(
+        self,
+        request: InferenceRequest,
+        enqueued_at: float,
+        on_done: Callable[[InferenceResponse], None] | None = None,
+    ):
         self.request = request
         self.enqueued_at = enqueued_at
         self._event = threading.Event()
         self._response: InferenceResponse | None = None
+        self._on_done = on_done
 
     def _complete(self, response: InferenceResponse) -> None:
         self._response = response
         self._event.set()
+        if self._on_done is not None:
+            self._on_done(response)
 
     def done(self) -> bool:
         return self._event.is_set()
@@ -276,22 +284,14 @@ class _ResponseCache:
     def key(self, slot: "_ModelSlot", request: InferenceRequest) -> tuple:
         # Keyed on the slot's *content fingerprint*, not its model_id:
         # every unregistered model shares the id "unregistered-{task}@v0",
-        # so an id-keyed cache would serve one model's answers for a
-        # different model swapped in under the same id.
+        # so an id-keyed cache would confuse two different models that
+        # share a display id.
         return (
             slot.fingerprint,
             request.task,
             normalize_sentence(request.sentence),
             context_digest(request.context),
         )
-
-    def flush_task(self, task: str) -> int:
-        """Drop every cached response for ``task`` (model reload)."""
-        with self._lock:
-            stale = [key for key in self._entries if key[1] == task]
-            for key in stale:
-                del self._entries[key]
-            return len(stale)
 
     def get(self, key: tuple) -> InferenceResponse | None:
         with self._lock:
@@ -326,7 +326,20 @@ class _ModelSlot:
     def __init__(self, task: str, loaded: Any):
         import pickle
 
+        try:
+            served_task = (
+                loaded.record.task if isinstance(loaded, LoadedModel)
+                else model_task(loaded)
+            )
+        except RegistryError:
+            # bare stand-ins (tests, stubs) aren't registry-typed
+            served_task = task
+        if served_task != task:
+            raise ServeError(
+                f"cannot serve a {served_task!r} model in the {task!r} slot"
+            )
         self.task = task
+        self.loaded = loaded
         if isinstance(loaded, LoadedModel):
             self.model = loaded.model
             self.payload = loaded.payload
@@ -350,7 +363,9 @@ class InferenceEngine:
     ``models`` maps task (``"qa"`` | ``"verify"``) to either a
     :class:`~repro.serve.registry.LoadedModel` or a bare model object.
     Call :meth:`start` before submitting and :meth:`stop` (drain) when
-    done; the engine is also a context manager doing both.
+    done; the engine is also a context manager doing both.  To serve it
+    over HTTP, host it in a pool (:meth:`ReplicaPool.hosting
+    <repro.serve.pool.ReplicaPool.hosting>`).
     """
 
     def __init__(
@@ -386,34 +401,19 @@ class InferenceEngine:
         self.rejected = 0
         self.errors = 0
         self.deadline_expired = 0
-        self.deadline_rejected = 0
         self._queued = 0       # waiting in a queue
         self._computing = 0    # taken by a worker, not yet completed
         self._batches = 0
         self._batched_requests = 0
         self._max_batch_seen = 0
-        self._compute_seconds = 0.0  # summed per-request compute time
         self._recent_compute: deque[float] = deque(maxlen=_RETRY_WINDOW)
-        self._reloads = 0
         self._latencies: dict[str, deque[float]] = {
             task: deque(maxlen=_LATENCY_WINDOW) for task in self._slots
         }
-        # per-model-version windows: after a reload, old and new
-        # versions report side by side for canary comparison.
-        self._latencies_by_model: dict[str, deque[float]] = {}
         # serving fault injection (None unless a plan was installed in
         # this process's environment before the engine was built — the
         # zero-overhead-when-disabled guarantee is this single None).
         self._chaos = chaos.engine_injector()
-        self._sanitize = {
-            "requests": 0,
-            "tables_changed": 0,
-            "cells_repaired": 0,
-            "cells_nulled": 0,
-            "cells_kept_text": 0,
-            "structure_repairs": 0,
-            "stage_errors": 0,
-        }
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> "InferenceEngine":
@@ -474,17 +474,23 @@ class InferenceEngine:
     def __exit__(self, *exc_info: Any) -> None:
         self.stop(drain=True)
 
-    @property
-    def draining(self) -> bool:
-        return self._stopping
+    def models(self) -> dict[str, Any]:
+        """task -> the loaded model this engine was built from."""
+        return {task: slot.loaded for task, slot in self._slots.items()}
 
     # -- submission ---------------------------------------------------------
-    def submit(self, request: InferenceRequest) -> PendingResponse:
+    def submit(
+        self,
+        request: InferenceRequest,
+        on_done: Callable[[InferenceResponse], None] | None = None,
+    ) -> PendingResponse:
         """Admit a request; returns a waitable :class:`PendingResponse`.
 
         Raises :class:`OverloadedError` when the admission queue is
         full and :class:`EngineStoppedError` after :meth:`stop` — both
         count as *rejected*, and the engine did no model work.
+        ``on_done`` is called with the response, on the completing
+        thread, once it exists (immediately for a cache hit).
         """
         slot = self._slots.get(request.task)
         if slot is None:
@@ -513,7 +519,7 @@ class InferenceEngine:
                     self.completed += 1
                     self.telemetry.increment("serve", "completed")
                     self.telemetry.increment("serve", "cache_hit")
-                    pending = PendingResponse(request, now)
+                    pending = PendingResponse(request, now, on_done)
                     pending._complete(
                         InferenceResponse(
                             id=request.id,
@@ -528,33 +534,6 @@ class InferenceEngine:
                         )
                     )
                     return pending
-            deadline = (
-                request.deadline_s
-                if request.deadline_s is not None
-                else self.config.default_deadline_s
-            )
-            if deadline is not None:
-                # admission gate: if the remaining budget is already
-                # below this engine's recent p50 compute, reject now —
-                # computing an answer nobody will wait for is the worst
-                # way to spend a saturated pool's time.
-                estimate = (
-                    nearest_rank(self._recent_compute, 0.50)
-                    if self._recent_compute
-                    else 0.0
-                )
-                if deadline <= 0 or (estimate > 0 and deadline < estimate):
-                    self.rejected += 1
-                    self.deadline_rejected += 1
-                    self.telemetry.increment("serve", "rejected")
-                    self.telemetry.increment("serve", "deadline_rejected")
-                    raise DeadlineExceededError(
-                        f"deadline budget {max(0.0, deadline):.3f}s below "
-                        f"recent p50 compute {estimate:.3f}s; rejecting "
-                        "before work",
-                        remaining_s=max(0.0, deadline),
-                        estimate_s=estimate if deadline > 0 else None,
-                    )
             if self._queued >= self.config.queue_limit:
                 self.rejected += 1
                 self.telemetry.increment("serve", "rejected")
@@ -564,7 +543,7 @@ class InferenceEngine:
                     f"{self.config.queue_limit})",
                     retry_after=self._retry_after_locked(),
                 )
-            pending = PendingResponse(request, now)
+            pending = PendingResponse(request, now, on_done)
             self._queues[request.task].append(pending)
             self._queued += 1
             self.telemetry.increment("serve", f"queued/{request.task}")
@@ -594,42 +573,12 @@ class InferenceEngine:
         )
         return self.submit(request).result(timeout)
 
-    def note_sanitize(self, report: dict[str, Any]) -> None:
-        """Fold one ``SanitizeReport.to_json()`` into engine accounting.
-
-        The serve frontend calls this for every request that asked for
-        ``sanitize=true``; the aggregate surfaces as the ``sanitize``
-        section of :meth:`stats` (and thus ``/metrics``) and mirrors
-        into telemetry like the other serve counters.
-        """
-        cells = report.get("cells", {}) or {}
-        structure = report.get("structure", {}) or {}
-        errors = report.get("errors", []) or []
-        changed = bool(
-            structure
-            or cells.get("repaired", 0)
-            or cells.get("nulled", 0)
-        )
-        with self._cond:
-            self._sanitize["requests"] += 1
-            self._sanitize["tables_changed"] += 1 if changed else 0
-            self._sanitize["cells_repaired"] += cells.get("repaired", 0)
-            self._sanitize["cells_nulled"] += cells.get("nulled", 0)
-            self._sanitize["cells_kept_text"] += cells.get("kept_text", 0)
-            self._sanitize["structure_repairs"] += sum(structure.values())
-            self._sanitize["stage_errors"] += len(errors)
-            self.telemetry.increment("serve", "sanitize_requests")
-            if changed:
-                self.telemetry.increment("serve", "sanitize_changed")
-
     def _retry_after_locked(self) -> float:
         """Seconds until capacity likely frees (caller holds the lock).
 
         Estimated from a bounded window of *recent* per-request compute
-        times, not the lifetime average: after a reload to a model with
-        a different speed, a lifetime ``compute_seconds / completed``
-        average would keep hinting the old model's pace for the rest of
-        the process lifetime.
+        times, not the lifetime average, so the hint follows the
+        current load.
         """
         if not self._recent_compute:
             return _DEFAULT_RETRY_AFTER
@@ -638,67 +587,25 @@ class InferenceEngine:
         estimate = per_request * backlog / max(1, self.config.workers)
         return min(5.0, max(0.005, estimate))
 
-    # -- model reload -------------------------------------------------------
-    def swap_model(self, task: str, loaded: Any) -> dict[str, str]:
-        """Swap the served model for ``task`` in place, zero downtime.
-
-        The single-process reload path (the multi-process path replaces
-        whole replicas; see :mod:`repro.serve.pool`).  Worker threads
-        pick up the new slot on their next batch — requests already
-        being computed finish on the old model and are tagged with its
-        ``model_id``.  The response cache's entries for ``task`` are
-        flushed, and the retry-after window is reset so the overload
-        hint re-learns the new model's pace.
-        """
-        if task not in self._slots:
-            raise ServeError(
-                f"no model loaded for task {task!r} "
-                f"(serving: {', '.join(sorted(self._slots))})"
-            )
-        try:
-            new_task = (
-                loaded.record.task if isinstance(loaded, LoadedModel)
-                else model_task(loaded)
-            )
-        except RegistryError:
-            # bare stand-ins (tests, stubs) aren't registry-typed;
-            # __init__ accepts them, so the swap path must too.
-            new_task = task
-        if new_task != task:
-            raise ServeError(
-                f"cannot swap a {new_task!r} model into the {task!r} slot"
-            )
-        slot = _ModelSlot(task, loaded)
-        with self._cond:
-            old = self._slots[task]
-            self._slots[task] = slot
-            self._reloads += 1
-            self._recent_compute.clear()
-            self.telemetry.increment("serve", "reloads")
-        self._cache.flush_task(task)
-        return {"task": task, "old": old.model_id, "new": slot.model_id}
-
     # -- worker side --------------------------------------------------------
     def _worker(self) -> None:
-        # Per-worker model replicas, re-resolved per batch by slot
-        # identity so a swap_model() reload takes effect on the very
-        # next batch without restarting workers.
-        replicas: dict[str, tuple[_ModelSlot, Any]] = {}
+        # per-worker model replicas, unpickled on a task's first batch
+        replicas: dict[str, Any] = {}
         while True:
             taken = self._take_batch()
             if taken is None:
                 return
             task, batch = taken
             slot = self._slots[task]
-            cached = replicas.get(task)
-            if cached is None or cached[0] is not slot:
+            model = replicas.get(task)
+            if model is None:
                 model = (
                     slot.replica()
                     if self.config.replicate_models
                     else slot.model
                 )
-                replicas[task] = (slot, model)
-            self._run_batch(task, slot, replicas[task][1], batch)
+                replicas[task] = model
+            self._run_batch(task, slot, model, batch)
             # an idle worker must not pin its last batch (and the
             # requests' contexts) while it waits for the next one
             del taken, batch
@@ -856,19 +763,13 @@ class InferenceEngine:
             compute_ended = time.monotonic()
             per_request_compute = (compute_ended - compute_started) / len(live)
             for pending, response in zip(live, results):
-                queue_s = compute_started - pending.enqueued_at
-                total_s = compute_ended - pending.enqueued_at
-                finished.append((
-                    pending,
-                    InferenceResponse(
-                        id=response.id, task=response.task, ok=response.ok,
-                        answer=response.answer, label=response.label,
-                        error=response.error, model=response.model,
-                        timing=Timing(
-                            queue_s, per_request_compute, total_s, len(batch)
-                        ),
-                    ),
-                ))
+                timing = Timing(
+                    compute_started - pending.enqueued_at,
+                    per_request_compute,
+                    compute_ended - pending.enqueued_at,
+                    len(batch),
+                )
+                finished.append((pending, replace(response, timing=timing)))
         # account + publish
         with self._cond:
             for pending, response in finished:
@@ -884,21 +785,11 @@ class InferenceEngine:
                         self.deadline_expired += 1
                         self.telemetry.increment("serve", "deadline_expired")
                 if response.timing is not None:
-                    self._compute_seconds += response.timing.compute_s
                     if response.timing.compute_s > 0:
                         self._recent_compute.append(
                             response.timing.compute_s
                         )
                     self._latencies[task].append(response.timing.total_s)
-                    window = self._latencies_by_model.get(response.model)
-                    if window is None:
-                        while len(self._latencies_by_model) >= _MODEL_WINDOWS:
-                            self._latencies_by_model.pop(
-                                next(iter(self._latencies_by_model))
-                            )
-                        window = deque(maxlen=_LATENCY_WINDOW)
-                        self._latencies_by_model[response.model] = window
-                    window.append(response.timing.total_s)
         for pending, response in finished:
             if (
                 response.ok
@@ -922,10 +813,6 @@ class InferenceEngine:
         with self._cond:
             return self._queued + self._computing
 
-    @staticmethod
-    def _percentiles(values: list[float]) -> dict[str, float]:
-        return nearest_rank_percentiles(values)
-
     def stats(self) -> dict[str, Any]:
         """A JSON-compatible snapshot of engine accounting.
 
@@ -937,12 +824,8 @@ class InferenceEngine:
             in_flight = self._queued + self._computing
             uptime = max(1e-9, time.monotonic() - self._started_at)
             latencies = {
-                task: self._percentiles(list(window))
+                task: nearest_rank_percentiles(list(window))
                 for task, window in self._latencies.items()
-            }
-            latencies_by_model = {
-                model_id: self._percentiles(list(window))
-                for model_id, window in self._latencies_by_model.items()
             }
             snapshot: dict[str, Any] = {
                 "uptime_s": round(uptime, 3),
@@ -953,7 +836,6 @@ class InferenceEngine:
                 "queue_depth": self._queued,
                 "errors": self.errors,
                 "deadline_expired": self.deadline_expired,
-                "deadline_rejected": self.deadline_rejected,
                 "throughput_rps": round(self.completed / uptime, 2),
                 "batches": {
                     "count": self._batches,
@@ -974,12 +856,9 @@ class InferenceEngine:
                     ),
                 },
                 "latency": latencies,
-                "latency_by_model": latencies_by_model,
-                "sanitize": dict(self._sanitize),
                 "models": {
                     task: slot.model_id for task, slot in self._slots.items()
                 },
-                "reloads": self._reloads,
                 "draining": self._stopping,
                 "workers": self.config.workers,
                 "max_batch_size": self.config.max_batch_size,

@@ -1,4 +1,4 @@
-"""HTTP frontend over the inference engine, plus serve clients.
+"""HTTP frontend over the serving backend, plus serve clients.
 
 Endpoints (all JSON):
 
@@ -15,18 +15,17 @@ Endpoints (all JSON):
   an error prefixed ``retrieval_miss:`` (the transport and the server
   both worked; the corpus had nothing to say).  Served 501 when the
   server was started without a store.
-* ``GET /healthz``     — liveness + which models are loaded.
-* ``GET /metrics``     — the engine's stats snapshot (throughput,
+* ``GET /healthz``     — liveness, per-slot state, which models are loaded.
+* ``GET /metrics``     — the backend's stats snapshot (throughput,
   p50/p95/p99 latency, batch sizes, cache hit rate, queue depth,
   rejects; ``accepted == completed + rejected + in_flight``).
 * ``POST /v1/admin/reload`` — zero-downtime reload of the registry's
   current default model versions (501 when the server was started
   without a registry-backed reloader).
 
-The frontend serves either backend behind the same surface: a
-single-process :class:`~repro.serve.engine.InferenceEngine` or a
-multi-process :class:`~repro.serve.pool.ReplicaPool` — both expose
-``infer`` / ``stats`` / ``note_sanitize``.
+The backend is always a :class:`~repro.serve.pool.ReplicaPool` — one
+in-process slot or N replica processes — so health, reload and
+accounting look the same in every deployment.
 
 ``context`` is the :meth:`repro.tables.context.TableContext.to_json`
 payload.  Adding ``"sanitize": true`` runs the messy-table sanitizer
@@ -40,7 +39,7 @@ names the offending field (``error.field``).
 
 Status mapping: 400 malformed request, 404 unknown route,
 429 + ``Retry-After`` on admission-queue overload, 503 while draining
-(or, pool backend, when *no* replica is routable), 504 when the
+(or when *no* replica slot is routable), 504 when the
 end-to-end deadline budget was rejected up front (``error.type:
 "deadline"``), 200 otherwise (a request that failed mid-compute — e.g.
 a deadline that expired *after* admission — is a 200 with ``ok: false``
@@ -50,11 +49,11 @@ Deadlines: clients send their end-to-end budget either as the
 ``X-Repro-Deadline-Ms`` header (preferred — the clock starts before
 body parsing) or the ``deadline_ms`` body field.  The frontend shrinks
 the budget by its own parse/validate time and passes what remains to
-the backend, whose admission gates reject work that can no longer
+the backend, whose admission gate rejects work that can no longer
 finish in time.
 
 Two clients share one interface for tests and the load generator:
-:class:`ServeClient` calls the engine in-process (no sockets), and
+:class:`ServeClient` calls a backend in-process (no sockets), and
 :class:`HttpServeClient` speaks real HTTP via :mod:`urllib`.  Both can
 retry overload rejections with the runtime's
 :class:`~repro.runtime.retry.RetryPolicy` semantics.
@@ -82,11 +81,7 @@ from repro.errors import (
 )
 from repro.runtime.retry import RetryPolicy
 from repro.sanitize import sanitize_context, sanitize_table_payload
-from repro.serve.engine import (
-    InferenceEngine,
-    InferenceResponse,
-    response_from_json,
-)
+from repro.serve.engine import InferenceResponse, response_from_json
 from repro.serve.registry import TASK_ASK, TASK_QA, TASK_VERIFY
 from repro.serve.stats import nearest_rank_percentiles
 from repro.tables.context import TableContext
@@ -353,8 +348,8 @@ RETRIEVAL_MISS_PREFIX = "retrieval_miss"
 class AskStats:
     """Frontend-side accounting for ``/v1/ask`` (shown in /metrics).
 
-    The engine owns inference accounting; retrieval happens before the
-    engine ever sees the request, so its counters live here: requests,
+    The backend owns inference accounting; retrieval happens before the
+    backend ever sees the request, so its counters live here: requests,
     answered, misses, and retrieve-latency percentiles.
     """
 
@@ -407,7 +402,7 @@ def execute_ask(
     in-process :class:`ServeClient`: search the store, answer over the
     best hit with the ``TASK_QA`` model, and echo provenance under
     ``"retrieval"``.  Retrieval time comes out of the deadline budget
-    before the engine's admission gates see what remains.  The engine's
+    before the backend's admission gate sees what remains.  The backend's
     typed admission errors (overload, deadline, stopped) propagate to
     the caller's usual mapping.
     """
@@ -491,7 +486,7 @@ class AskResponse:
 
 
 class ServeRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto the engine owned by the server."""
+    """Routes HTTP requests onto the backend owned by the server."""
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
@@ -502,8 +497,8 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     @property
-    def engine(self) -> InferenceEngine:
-        return self.server.engine  # type: ignore[attr-defined]
+    def backend(self) -> Any:
+        return self.server.backend  # type: ignore[attr-defined]
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if getattr(self.server, "verbose", False):  # pragma: no cover
@@ -544,39 +539,17 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
     # -- GET ----------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         if self.path == "/healthz":
-            backend = self.engine
-            stats = backend.stats()
-            payload: dict[str, Any] = {
-                "models": stats["models"],
-                "uptime_s": stats["uptime_s"],
-            }
-            unhealthy = bool(stats["draining"])
-            if unhealthy:
-                payload["status"] = "draining"
-            elif hasattr(backend, "replica_states"):
-                # pool backend: per-replica health; the service is down
-                # only when *no* replica can take traffic — one slot
-                # respawning or breaker-open is degraded, not dead.
-                states = backend.replica_states()
-                payload["replicas"] = states
-                routable = sum(1 for s in states if s["routable"])
-                payload["routable_replicas"] = routable
-                if routable == 0:
-                    unhealthy = True
-                    payload["status"] = "unavailable"
-                else:
-                    payload["status"] = (
-                        "ok" if routable == len(states) else "degraded"
-                    )
-            else:
-                payload["status"] = "ok"
+            # one slot respawning or breaker-open is degraded, not dead:
+            # the service is down only when no slot can take traffic.
+            payload = self.backend.health()
             retriever = getattr(self.server, "retriever", None)
             if retriever is not None:
                 payload["store"] = {"docs": retriever.doc_count}
-            self._send_json(503 if unhealthy else 200, payload)
+            healthy = payload["status"] in ("ok", "degraded")
+            self._send_json(200 if healthy else 503, payload)
             return
         if self.path == "/metrics":
-            stats = self.engine.stats()
+            stats = self.backend.stats()
             ask_stats = getattr(self.server, "ask_stats", None)
             if ask_stats is not None:
                 stats["ask"] = ask_stats.snapshot()
@@ -643,8 +616,8 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         )
         if deadline_s is not None:
             # shrink the budget by frontend time already spent; the
-            # backend's admission gates receive what *remains*, and a
-            # budget that died in parsing is their typed rejection to
+            # backend's admission gate receives what *remains*, and a
+            # budget that died in parsing is its typed rejection to
             # make (so it is counted, not silently dropped here).
             deadline_s -= time.monotonic() - received
         try:
@@ -658,7 +631,7 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
                     )
                     return
                 ask_payload = execute_ask(
-                    self.engine, retriever, parsed.sentence,
+                    self.backend, retriever, parsed.sentence,
                     k=parsed.top_k or DEFAULT_ASK_TOP_K,
                     sanitize=parsed.sanitize,
                     deadline_s=deadline_s,
@@ -667,7 +640,7 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
                 )
                 self._send_json(200, ask_payload)
                 return
-            response = self.engine.infer(
+            response = self.backend.infer(
                 task, parsed.sentence, parsed.context,
                 deadline_s=deadline_s, request_id=parsed.request_id,
             )
@@ -701,7 +674,7 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         if parsed.sanitize_report is not None:
             # counted only for requests that actually reached the model
             # (a 429/503 did no sanitizer-visible work either way).
-            self.engine.note_sanitize(parsed.sanitize_report)
+            self.backend.note_sanitize(parsed.sanitize_report)
             response = _dc_replace(
                 response, sanitize=parsed.sanitize_report
             )
@@ -711,10 +684,9 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         """``POST /v1/admin/reload`` — swap in the registry's defaults.
 
         Delegates to the server's ``reloader`` callback (wired by the
-        CLI: an engine ``swap_model`` pass in single-process mode, a
-        rolling replica replacement in ``--replicas`` mode).  Servers
-        constructed without one answer 501: they have no registry to
-        reload from.
+        CLI to the pool's rolling :meth:`~repro.serve.pool.ReplicaPool.reload`).
+        Servers constructed without one answer 501: they have no
+        registry to reload from.
         """
         reloader = getattr(self.server, "reloader", None)
         if reloader is None:
@@ -746,7 +718,7 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one inference engine."""
+    """A threading HTTP server bound to one serving backend."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -759,12 +731,12 @@ class ServeHTTPServer(ThreadingHTTPServer):
     def __init__(
         self,
         address: tuple[str, int],
-        engine: Any,
+        backend: Any,
         reloader: Any = None,
         retriever: Any = None,
     ):
         super().__init__(address, ServeRequestHandler)
-        self.engine = engine
+        self.backend = backend
         self.verbose = False
         #: zero-arg callable performing a model reload and returning a
         #: JSON-compatible summary; ``None`` disables /v1/admin/reload.
@@ -780,7 +752,7 @@ class ServeHTTPServer(ThreadingHTTPServer):
 
 
 def make_server(
-    engine: Any,
+    backend: Any,
     host: str = "127.0.0.1",
     port: int = 0,
     reloader: Any = None,
@@ -788,14 +760,13 @@ def make_server(
 ) -> ServeHTTPServer:
     """Bind a :class:`ServeHTTPServer` (``port=0`` picks a free port).
 
-    ``engine`` is anything with the engine's serving surface —
-    ``infer`` / ``stats`` / ``note_sanitize`` — i.e. an
-    :class:`~repro.serve.engine.InferenceEngine` or a
-    :class:`~repro.serve.pool.ReplicaPool`.  ``retriever`` (a
-    :class:`repro.store.Retriever`) enables ``POST /v1/ask``.
+    ``backend`` is a :class:`~repro.serve.pool.ReplicaPool` (wrap a bare
+    engine with :meth:`~repro.serve.pool.ReplicaPool.hosting`).
+    ``retriever`` (a :class:`repro.store.Retriever`) enables
+    ``POST /v1/ask``.
     """
     return ServeHTTPServer(
-        (host, port), engine, reloader=reloader, retriever=retriever
+        (host, port), backend, reloader=reloader, retriever=retriever
     )
 
 
@@ -894,16 +865,20 @@ class _BaseClient:
 
 
 class ServeClient(_BaseClient):
-    """In-process client: the engine without sockets (tests, loadgen)."""
+    """In-process client: a backend without sockets (tests, loadgen).
+
+    ``backend`` is a :class:`~repro.serve.pool.ReplicaPool`; anything
+    with its ``infer`` serves requests that do not ask to sanitize.
+    """
 
     def __init__(
         self,
-        engine: InferenceEngine,
+        backend: Any,
         retry: RetryPolicy | None = None,
         retriever: Any = None,
     ):
         super().__init__(retry)
-        self.engine = engine
+        self.backend = backend
         self.retriever = retriever
 
     def _request(
@@ -919,11 +894,11 @@ class ServeClient(_BaseClient):
             # same order as the HTTP frontend: sanitize before
             # admission, so the cache is keyed on the sanitized table.
             context, report = sanitize_context(context)
-        response = self.engine.infer(
+        response = self.backend.infer(
             task, sentence, context, deadline_s=deadline_s
         )
         if report is not None:
-            self.engine.note_sanitize(report.to_json())
+            self.backend.note_sanitize(report.to_json())
             response = _dc_replace(response, sanitize=report.to_json())
         return response
 
@@ -940,20 +915,16 @@ class ServeClient(_BaseClient):
                 "retriever=Retriever.open(...))"
             )
         payload = execute_ask(
-            self.engine, self.retriever, question,
+            self.backend, self.retriever, question,
             k=k, sanitize=sanitize, deadline_s=deadline_s,
         )
         return AskResponse.from_payload(payload)
 
     def metrics(self) -> dict[str, Any]:
-        return self.engine.stats()
+        return self.backend.stats()
 
     def healthz(self) -> dict[str, Any]:
-        stats = self.engine.stats()
-        return {
-            "status": "draining" if stats["draining"] else "ok",
-            "models": stats["models"],
-        }
+        return self.backend.health()
 
 
 class HttpServeClient(_BaseClient):

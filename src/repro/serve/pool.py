@@ -1,13 +1,25 @@
-"""Multi-process replica pool: pre-fork serving beyond the GIL.
+"""The serving backend: N replica slots behind one surface.
 
-The thread-based :class:`~repro.serve.engine.InferenceEngine` batches
-well but lives in one process, so Python's GIL caps CPU-bound QA/verify
-inference no matter how many threads it runs.  :class:`ReplicaPool`
-puts N *replica processes* behind the same serving surface — each
-replica owns its own engine and its own model instances loaded from
-the registry (shared-nothing: no shared memory, no locks across
-processes), and the parent routes each request to exactly one replica
-over a private pipe.
+Every server serves a :class:`ReplicaPool`.  A slot holds one
+:class:`~repro.serve.engine.InferenceEngine` behind one of two
+*transports*:
+
+* **process** (``repro serve --replicas N``) — each slot is a replica
+  process that loads its own models from the registry (shared-nothing:
+  no shared memory, no locks across processes), reached over a private
+  pipe.  Python's GIL caps CPU-bound inference in one process no matter
+  how many threads it runs; N processes scale past it.
+* **in-process** (``PoolConfig(in_process=True)``, the CLI default, or
+  :meth:`ReplicaPool.hosting` around an existing engine) — one slot
+  whose engine runs in the frontend's own process; requests and
+  responses are handed over as objects, with no pickling and no pipe.
+
+Either way the pool owns what spans engines, once: routing, serving
+accounting (``accepted == completed + rejected + in_flight``), deadline
+admission, zero-downtime reload, per-slot health and the ``/metrics``
+snapshot.  The backend surface the HTTP frontend and
+:class:`~repro.serve.http.ServeClient` rely on is ``infer`` /
+``reload`` / ``stats`` / ``health`` / ``note_sanitize`` / ``stop``.
 
 Topology::
 
@@ -25,17 +37,18 @@ cache — cache locality survives scale-out, and a given request's
 placement is reproducible across runs of the same pool shape.
 
 Zero-downtime reload (``reload()``): for each slot, a *fresh* replica
-process is spawned loading the registry's current default version; only
-after it reports ready is it swapped into the routing table, and only
-then is the old replica drained — it finishes every request already
-routed to it, request by request, then exits.  At every instant each
+is started loading the registry's current default version; only after
+it reports ready is it swapped into the routing table, and only then is
+the old replica drained — it finishes every request already routed to
+it, request by request, then exits.  An in-process slot reloads the same
+way: a fresh engine replaces the old one, which drains.  At every instant each
 slot has a serving replica, so a sustained request stream sees zero
 failures across a reload.  Responses are tagged with the serving
 ``model_id`` (the engine already does this) and the pool keeps
 per-model-version latency windows, so ``/metrics`` reads as a canary
 comparison across versions while old and new overlap.
 
-A replica that dies unexpectedly (OOM kill, segfault) fails its
+A replica process that dies unexpectedly (OOM kill, segfault) fails its
 in-flight requests with error responses, is removed from the routing
 table, and a replacement is spawned in the background
 (``replica_restarts`` counts these).
@@ -49,7 +62,8 @@ Resilience layer (all per-request, all accounted in ``/metrics``):
   walk, so spilled placement is as deterministic as primary placement.
   Half-open probes re-admit the replica.  :class:`OverloadedError` never
   trips a breaker: shedding load is a healthy replica doing its job.
-* **Hedged dispatch** — if the routed replica has not replied within the
+* **Hedged dispatch** (two or more slots) — if the routed replica has
+  not replied within the
   :class:`~repro.serve.hedge.HedgePolicy` delay (p95 of that slot's
   recent latencies, clamped), the request is re-sent to the next
   routable slot and the first reply wins; the loser's reply slot is
@@ -95,6 +109,7 @@ from repro.serve import chaos
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.engine import (
     EngineConfig,
+    InferenceEngine,
     InferenceRequest,
     InferenceResponse,
     Timing,
@@ -131,13 +146,13 @@ _REROUTE_ATTEMPTS = 3
 
 @dataclass(frozen=True)
 class ReplicaSpec:
-    """What a replica process loads: registry + one model per task.
+    """What a replica loads: registry + one model per task.
 
     ``versions`` maps task -> (name, version); ``version`` may be
     ``None``, meaning *resolve the registry default at load time* —
-    that resolution happens inside the replica process, so a reload
-    that spawns fresh replicas picks up a default pointer moved since
-    the pool started.
+    that resolution happens when the replica starts (inside a replica
+    process), so a reload that starts fresh replicas picks up a default
+    pointer moved since the pool started.
     """
 
     registry_dir: str
@@ -151,6 +166,20 @@ class ReplicaSpec:
             for task, name, version in self.models
         }
 
+    def updated(
+        self, overrides: dict[str, tuple[str, str | None]]
+    ) -> "ReplicaSpec":
+        """This spec with some tasks re-pointed at ``(name, version)``."""
+        merged = {task: (name, version) for task, name, version in self.models}
+        merged.update(overrides)
+        return ReplicaSpec(
+            registry_dir=self.registry_dir,
+            models=tuple(
+                (task, name, version)
+                for task, (name, version) in sorted(merged.items())
+            ),
+        )
+
 
 @dataclass(frozen=True)
 class PoolConfig:
@@ -158,12 +187,15 @@ class PoolConfig:
 
     replicas: int = 2
     engine: EngineConfig = field(default_factory=EngineConfig)
+    #: run the (single) slot's engine in this process instead of a
+    #: spawned replica process.
+    in_process: bool = False
     #: parent-side wait for one response before giving up on it.
     request_timeout_s: float = 30.0
     #: respawn replicas that die unexpectedly.
     restart_dead_replicas: bool = True
     #: hedged-dispatch policy; ``None`` disables hedging entirely
-    #: (single-leg dispatch, exactly the pre-resilience behavior).
+    #: (single-leg dispatch).  A one-slot pool has nowhere to hedge to.
     hedge: HedgePolicy | None = field(default_factory=HedgePolicy)
     #: consecutive replica-attributable failures that open a slot's
     #: circuit breaker; ``0`` disables breakers.
@@ -175,6 +207,8 @@ class PoolConfig:
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ServeError("replicas must be >= 1")
+        if self.in_process and self.replicas != 1:
+            raise ServeError("an in-process pool has exactly one slot")
         if self.breaker_threshold < 0:
             raise ServeError("breaker_threshold must be >= 0")
 
@@ -208,9 +242,6 @@ def _replica_main(
 
     os.environ[chaos.REPLICA_ENV] = str(slot)
     injector = chaos.replica_injector()
-
-    from repro.serve.engine import InferenceEngine
-
     engine = InferenceEngine(spec.resolve(), config)
     engine.start()
     send_lock = threading.Lock()
@@ -276,8 +307,6 @@ def _replica_main(
                 except OverloadedError as error:
                     send(("rejected", rid, "overloaded", str(error),
                           error.retry_after))
-                except DeadlineExceededError as error:
-                    send(("rejected", rid, "deadline", str(error), 0.0))
                 except EngineStoppedError as error:
                     send(("rejected", rid, "stopped", str(error), 0.0))
                 except ServeError as error:
@@ -346,10 +375,14 @@ def _interpret(waiter: _Waiter) -> InferenceResponse:
     a response dict (the ``corrupt`` chaos fault, or a genuinely
     garbled pipe) raises :class:`ServeError` — the caller turns that
     into a typed ``replica_failed`` outcome and a breaker strike, never
-    an unhandled exception in a dispatcher thread.
+    an unhandled exception in a dispatcher thread.  In-process slots
+    complete waiters with the response object itself, or with the
+    engine's own overload error (kind ``raised``).
     """
     if waiter.kind == "response":
         payload = waiter.value[0]
+        if isinstance(payload, InferenceResponse):
+            return payload
         try:
             if not isinstance(payload, dict):
                 raise TypeError(
@@ -362,17 +395,18 @@ def _interpret(waiter: _Waiter) -> InferenceResponse:
         verdict, message, retry_after = waiter.value
         if verdict == "overloaded":
             raise OverloadedError(message, retry_after=retry_after)
-        if verdict == "deadline":
-            raise DeadlineExceededError(message)
         if verdict == "stopped":
             raise EngineStoppedError(message)
         raise ServeError(message)
+    if waiter.kind == "raised":
+        raise waiter.value[0]
     raise ServeError(str(waiter.value[0]))  # "died"
 
 
 class _ReplicaHandle:
     """Parent-side view of one replica process: pipe, waiters, state."""
 
+    in_process = False
     _ids = itertools.count(1)
 
     def __init__(self, spec: ReplicaSpec, config: EngineConfig, slot: int):
@@ -504,26 +538,6 @@ class _ReplicaHandle:
         with self._waiters_lock:
             self._waiters.pop(rid, None)
 
-    def infer_remote(
-        self, request: InferenceRequest, timeout: float
-    ) -> InferenceResponse:
-        """Blocking convenience: submit, wait, interpret (single leg).
-
-        Raises :class:`OverloadedError` / :class:`DeadlineExceededError`
-        / :class:`EngineStoppedError` mirroring the replica engine's
-        admission verdicts; a dead replica, corrupt reply, or
-        parent-side timeout surfaces as :class:`ServeError` so the pool
-        can decide how to account for it.
-        """
-        rid, waiter = self.submit_remote(request)
-        if not waiter.event.wait(timeout):
-            self.forget(rid)
-            raise ServeError(
-                f"timed out after {timeout}s waiting on replica "
-                f"{self.slot} (pid {self.pid})"
-            )
-        return _interpret(waiter)
-
     def stats_remote(self, timeout: float = 5.0) -> dict[str, Any] | None:
         """The replica engine's stats snapshot (None if unreachable)."""
         if self.dead:
@@ -574,13 +588,67 @@ class _ReplicaHandle:
         self.dead = True
 
 
-class ReplicaPool:
-    """N pre-fork serving replicas behind the engine's serving surface.
+class _LocalReplica:
+    """A slot whose engine runs in this process: no pipe, no pickling.
 
-    Exposes the same ``infer`` / ``stats`` / ``note_sanitize`` surface
-    as :class:`~repro.serve.engine.InferenceEngine`, so the HTTP
-    frontend and the in-process :class:`~repro.serve.http.ServeClient`
-    work against either interchangeably.
+    Mirrors :class:`_ReplicaHandle`'s surface.  A submission completes
+    its waiter from the engine's completion callback; an overloaded
+    engine's typed rejection completes it as ``raised``, while a stopped
+    engine raises :class:`EngineStoppedError` at once, so a request
+    racing a reload is rerouted to the fresh slot.
+    """
+
+    in_process = True
+
+    def __init__(self, engine: InferenceEngine, slot: int):
+        self.engine = engine
+        self.slot = slot
+        self.models: dict[str, str] = engine.stats()["models"]
+        self.draining = False
+        self.dead = False
+        self.started_at = time.monotonic()
+        self.latency_window: deque[float] = deque(maxlen=_SLOT_WINDOW)
+
+    def start(self) -> "_LocalReplica":
+        self.engine.start()
+        return self
+
+    def submit_remote(
+        self,
+        request: InferenceRequest,
+        group: threading.Event | None = None,
+    ) -> tuple[int, _Waiter]:
+        if self.draining:
+            raise EngineStoppedError("replica is draining")
+        waiter = _Waiter(group)
+        try:
+            self.engine.submit(
+                request,
+                on_done=lambda response: waiter.complete(
+                    "response", (response,)
+                ),
+            )
+        except OverloadedError as error:
+            waiter.complete("raised", (error,))
+        return 0, waiter
+
+    def forget(self, rid: int) -> None:
+        """Nothing to forget: a late response completes an unread waiter."""
+
+    def stats_remote(self, timeout: float = 5.0) -> dict[str, Any]:
+        return self.engine.stats()
+
+    def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
+        self.engine.stop(drain=drain, timeout=timeout)
+        self.dead = True
+
+
+class ReplicaPool:
+    """The serving backend: replica slots behind one serving surface.
+
+    ``ReplicaPool(registry_dir, {task: (name, version)}, config)`` serves
+    registry models; ``config.in_process`` picks the transport.
+    :meth:`hosting` wraps an engine built by the caller.
     """
 
     def __init__(
@@ -595,26 +663,50 @@ class ReplicaPool:
         for task in models:
             if task not in TASKS:
                 raise ServeError(f"unknown task {task!r} in models mapping")
-        self.registry_dir = str(registry_dir)
-        self.config = config or PoolConfig()
-        self.telemetry = telemetry or Telemetry()
-        self._model_names = dict(models)
-        self._spec = ReplicaSpec(
-            registry_dir=self.registry_dir,
-            models=tuple(
-                (task, name, version)
-                for task, (name, version) in sorted(models.items())
-            ),
+        spec = ReplicaSpec(registry_dir=str(registry_dir), models=())
+        self._setup(spec.updated(models), config or PoolConfig(), telemetry)
+
+    @classmethod
+    def hosting(
+        cls, engine: InferenceEngine, telemetry: Telemetry | None = None
+    ) -> "ReplicaPool":
+        """A one-slot in-process pool serving ``engine``.
+
+        The engine starts with the pool (or earlier, by the caller).  A
+        reload builds a fresh engine from the same models, or from
+        ``reload({task: model})`` overrides, and drains this one.
+        """
+        pool = cls.__new__(cls)
+        pool._setup(
+            engine.models(),
+            PoolConfig(replicas=1, engine=engine.config, in_process=True),
+            telemetry,
         )
+        pool._slots[0] = _LocalReplica(engine, 0)
+        return pool
+
+    def _setup(
+        self,
+        source: Any,
+        config: PoolConfig,
+        telemetry: Telemetry | None,
+    ) -> None:
+        # what every slot's engine is built from: a registry spec, or
+        # (in-process pools only) task -> already-loaded model.
+        self._source = source
+        #: the served tasks; a reload re-points them, never adds one.
+        self.tasks = tuple(sorted(
+            [task for task, _, _ in source.models]
+            if isinstance(source, ReplicaSpec) else source
+        ))
+        self.config = config
+        self.telemetry = telemetry or Telemetry()
         # routing table: slot index -> live handle. Swapped atomically
         # under _route_lock (reads take the lock briefly; the actual
         # request wait happens outside it).
-        self._slots: list[_ReplicaHandle | None] = (
-            [None] * self.config.replicas
-        )
+        self._slots: list[Any] = [None] * self.config.replicas
         self._route_lock = threading.Lock()
         self._reload_lock = threading.Lock()
-        self._draining_handles: list[_ReplicaHandle] = []
         self._started = False
         self._stopping = False
         self._started_at = time.monotonic()
@@ -636,6 +728,7 @@ class ReplicaPool:
         self.accepted = 0
         self.completed = 0
         self.rejected = 0
+        self.in_flight = 0
         self.errors = 0
         self.reloads = 0
         self.replica_restarts = 0
@@ -655,13 +748,22 @@ class ReplicaPool:
             "stage_errors": 0,
         }
 
+    def _new_slot(self, slot: int, source: Any) -> Any:
+        """An unstarted replica for ``slot`` built from ``source``."""
+        if not self.config.in_process:
+            return _ReplicaHandle(source, self.config.engine, slot)
+        models = (
+            source.resolve() if isinstance(source, ReplicaSpec) else source
+        )
+        return _LocalReplica(InferenceEngine(models, self.config.engine), slot)
+
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> "ReplicaPool":
-        """Spawn every replica and wait for all ready handshakes."""
+        """Start every slot (spawned replicas: wait for their handshakes)."""
         if self._started:
             return self
         for slot in range(self.config.replicas):
-            handle = _ReplicaHandle(self._spec, self.config.engine, slot)
+            handle = self._slots[slot] or self._new_slot(slot, self._source)
             handle.start()
             with self._route_lock:
                 self._slots[slot] = handle
@@ -670,14 +772,21 @@ class ReplicaPool:
         return self
 
     def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
-        """Stop every replica (with ``drain``, in-flight work finishes)."""
+        """Stop every replica (with ``drain``, in-flight work finishes).
+
+        Returns once every request the pool accepted has been accounted
+        (or ``timeout`` passed): a caller thread may still be between its
+        replica's reply and the pool's books, and the final snapshot
+        must reconcile with ``in_flight == 0``.
+        """
         self._stopping = True
+        deadline = time.monotonic() + timeout
         with self._route_lock:
             handles = [h for h in self._slots if h is not None]
-            draining = list(self._draining_handles)
-            self._draining_handles = []
-        for handle in handles + draining:
+        for handle in handles:
             handle.stop(drain=drain, timeout=timeout)
+        while self.in_flight and time.monotonic() < deadline:
+            time.sleep(0.01)
         self._started = False
 
     def __enter__(self) -> "ReplicaPool":
@@ -764,10 +873,10 @@ class ReplicaPool:
         resubmitted to the slot's fresh replica — callers never see a
         drain artifact as a failure.
         """
-        if task not in self._model_names:
+        if task not in self.tasks:
             raise ServeError(
                 f"no model loaded for task {task!r} "
-                f"(serving: {', '.join(sorted(self._model_names))})"
+                f"(serving: {', '.join(self.tasks)})"
             )
         wait = timeout if timeout is not None else (
             self.config.request_timeout_s
@@ -788,41 +897,19 @@ class ReplicaPool:
                 raise EngineStoppedError(
                     "pool is stopped/draining; not accepting requests"
                 )
-        digest = context_digest(context)
-        slot = self.route(task, sentence, digest)
+            self.in_flight += 1
+        slot = 0 if self.config.replicas == 1 else self.route(
+            task, sentence, context_digest(context)
+        )
         started = time.monotonic()
-        if request.deadline_s is not None:
-            # pool-side deadline admission: if the remaining budget is
-            # below the routed slot's recent p50 latency, reject before
-            # shipping anything over a pipe.
-            try:
-                window = list(self._handle_for(slot).latency_window)
-            except ServeError:
-                window = []
-            estimate = nearest_rank(window, 0.50) if window else 0.0
-            if request.deadline_s <= 0 or (
-                estimate > 0 and request.deadline_s < estimate
-            ):
-                with self._lock:
-                    self.rejected += 1
-                    self.deadline_rejected += 1
-                    self.telemetry.increment("serve", "pool_rejected")
-                    self.telemetry.increment(
-                        "serve", "pool_deadline_rejected"
-                    )
-                raise DeadlineExceededError(
-                    f"deadline budget {max(0.0, request.deadline_s):.3f}s "
-                    f"below slot {slot} recent p50 latency "
-                    f"{estimate:.3f}s; rejecting before dispatch",
-                    remaining_s=max(0.0, request.deadline_s),
-                    estimate_s=estimate if request.deadline_s > 0 else None,
-                )
         try:
+            self._admit_deadline(request, slot)
             response = self._dispatch(request, slot, wait, started)
         except (OverloadedError, DeadlineExceededError,
                 EngineStoppedError) as error:
             with self._lock:
                 self.rejected += 1
+                self.in_flight -= 1
                 self.telemetry.increment("serve", "pool_rejected")
                 if isinstance(error, DeadlineExceededError):
                     self.deadline_rejected += 1
@@ -846,11 +933,36 @@ class ReplicaPool:
         total_s = time.monotonic() - started
         with self._lock:
             self.completed += 1
+            self.in_flight -= 1
             self.telemetry.increment("serve", "pool_completed")
             if not response.ok:
                 self.errors += 1
             self._note_latency(task, response.model, total_s)
         return response
+
+    def _admit_deadline(self, request: InferenceRequest, slot: int) -> None:
+        """Pool-side deadline admission, before anything is dispatched.
+
+        Raises :class:`DeadlineExceededError` when the remaining budget
+        is gone or below the routed slot's recent p50 latency.
+        """
+        if request.deadline_s is None:
+            return
+        try:
+            window = list(self._handle_for(slot).latency_window)
+        except ServeError:
+            window = []
+        estimate = nearest_rank(window, 0.50) if window else 0.0
+        if request.deadline_s <= 0 or (
+            estimate > 0 and request.deadline_s < estimate
+        ):
+            raise DeadlineExceededError(
+                f"deadline budget {max(0.0, request.deadline_s):.3f}s "
+                f"below slot {slot} recent p50 latency "
+                f"{estimate:.3f}s; rejecting before dispatch",
+                remaining_s=max(0.0, request.deadline_s),
+                estimate_s=estimate if request.deadline_s > 0 else None,
+            )
 
     @staticmethod
     def _shrunk(
@@ -893,7 +1005,7 @@ class ReplicaPool:
         """
         group = threading.Event()
         deadline_at = started + wait
-        hedge = self.config.hedge
+        hedge = self.config.hedge if self.config.replicas > 1 else None
         legs: list[dict[str, Any]] = []
         failures: list[ServeError] = []
         failed_slots: set[int] = set()
@@ -960,7 +1072,7 @@ class ReplicaPool:
         if not start_leg(frozenset(), is_primary=True):
             raise failures[0]
         hedge_at: float | None = None
-        if hedge is not None and self.config.replicas > 1:
+        if hedge is not None:
             hedge_at = legs[0]["t0"] + hedge.delay_s(
                 list(legs[0]["handle"].latency_window)
             )
@@ -1071,8 +1183,6 @@ class ReplicaPool:
         self, task: str, model_id: str, total_s: float
     ) -> None:
         """Record one completed request (caller holds the pool lock)."""
-        from collections import deque
-
         window = self._latencies.get(task)
         if window is None:
             window = deque(maxlen=_LATENCY_WINDOW)
@@ -1109,43 +1219,37 @@ class ReplicaPool:
             self._sanitize["stage_errors"] += len(errors)
 
     # -- reload -------------------------------------------------------------
-    def reload(
-        self, models: dict[str, tuple[str, str | None]] | None = None
-    ) -> dict[str, Any]:
-        """Zero-downtime rolling reload of every replica.
+    def reload(self, models: dict[str, Any] | None = None) -> dict[str, Any]:
+        """Zero-downtime rolling reload of every slot.
 
-        Slot by slot: spawn a fresh replica (which resolves the
+        Slot by slot: start a fresh replica (which resolves the
         registry's *current* default versions — or the explicit
-        ``models`` override), wait for its ready handshake, swap it
-        into the routing table, then drain the old replica
+        ``models`` override: ``{task: (name, version)}``, or for a
+        :meth:`hosting` pool ``{task: model}``), wait until it is ready,
+        swap it into the routing table, then drain the old replica
         request-by-request.  Capacity never drops below N-per-slot
         because the swap happens only after the replacement is ready.
         Returns ``{"old": {...}, "new": {...}, "replicas": N}``.
         """
         with self._reload_lock:
+            source = self._source
             if models is not None:
                 for task in models:
-                    if task not in self._model_names:
+                    if task not in self.tasks:
                         raise ServeError(
                             f"cannot reload unknown task {task!r}"
                         )
-                merged = {**self._model_names, **models}
-            else:
-                merged = dict(self._model_names)
-            spec = ReplicaSpec(
-                registry_dir=self.registry_dir,
-                models=tuple(
-                    (task, name, version)
-                    for task, (name, version) in sorted(merged.items())
-                ),
-            )
+                source = (
+                    source.updated(models)
+                    if isinstance(source, ReplicaSpec)
+                    else {**source, **models}
+                )
             old_models = self._models_snapshot()
-            drained: list[_ReplicaHandle] = []
             for slot in range(self.config.replicas):
                 with self._lock:
                     self._reloading_slots.add(slot)
                 try:
-                    fresh = _ReplicaHandle(spec, self.config.engine, slot)
+                    fresh = self._new_slot(slot, source)
                     fresh.start()
                     with self._route_lock:
                         old = self._slots[slot]
@@ -1164,9 +1268,7 @@ class ReplicaPool:
                     # to the old replica completes before its process
                     # exits, one slot at a time.
                     old.stop(drain=True)
-                    drained.append(old)
-            self._model_names = merged
-            self._spec = spec
+            self._source = source
             with self._lock:
                 self.reloads += 1
                 self.telemetry.increment("serve", "pool_reloads")
@@ -1179,7 +1281,7 @@ class ReplicaPool:
     def _restart_slot(self, slot: int, dead: _ReplicaHandle) -> None:
         """Replace a dead replica (background thread)."""
         try:
-            fresh = _ReplicaHandle(self._spec, self.config.engine, slot)
+            fresh = self._new_slot(slot, self._source)
             fresh.start()
         except Exception:  # spawn failed; slot stays dead
             return
@@ -1253,6 +1355,30 @@ class ReplicaPool:
         """True while at least one replica can take traffic."""
         return any(entry["routable"] for entry in self.replica_states())
 
+    def health(self) -> dict[str, Any]:
+        """The ``/healthz`` payload.
+
+        ``status`` is ``ok``, ``degraded`` (some slot cannot take
+        traffic: respawning, breaker open, draining), ``unavailable``
+        (no slot can) or ``draining`` (the pool is shutting down); the
+        last two are unhealthy.
+        """
+        states = self.replica_states()
+        routable = sum(1 for entry in states if entry["routable"])
+        if self._stopping:
+            status = "draining"
+        elif routable == 0:
+            status = "unavailable"
+        else:
+            status = "ok" if routable == len(states) else "degraded"
+        return {
+            "status": status,
+            "models": self._models_snapshot(),
+            "uptime_s": round(time.monotonic() - self._started_at, 3),
+            "replicas": states,
+            "routable_replicas": routable,
+        }
+
     # -- stats --------------------------------------------------------------
     def _models_snapshot(self) -> dict[str, str]:
         """task -> model_id as currently routed (newest slot wins)."""
@@ -1264,12 +1390,14 @@ class ReplicaPool:
         return out
 
     def stats(self) -> dict[str, Any]:
-        """Aggregated + per-replica serving stats.
+        """The ``/metrics`` snapshot: pool accounting plus engine totals.
 
-        The top-level keys mirror the engine's snapshot so ``/metrics``
-        consumers (and the smoke tests) read both backends identically;
-        ``replicas`` adds the per-replica engine snapshots and
-        ``latency_by_model`` the canary view across model versions.
+        Batching, cache, queue-depth and expiry figures are summed over
+        the slots' engines; ``latency_by_model`` is the canary view
+        across model versions.  ``replicas`` lists the replica
+        *processes* with their own engine snapshots — empty for an
+        in-process pool, whose one engine runs in this process and is
+        the top-level figures.
         """
         self.ensure_live()
         states = {
@@ -1289,6 +1417,19 @@ class ReplicaPool:
         }
         for slot, handle in handles:
             snapshot = handle.stats_remote()
+            if snapshot is not None:
+                agg["batches"] += snapshot["batches"]["count"]
+                agg["batched_requests"] += snapshot["batches"]["requests"]
+                agg["max_batch"] = max(
+                    agg["max_batch"], snapshot["batches"]["max_size"]
+                )
+                agg["cache_hits"] += snapshot["cache"]["hits"]
+                agg["cache_misses"] += snapshot["cache"]["misses"]
+                agg["cache_entries"] += snapshot["cache"]["entries"]
+                agg["queue_depth"] += snapshot["queue_depth"]
+                agg["deadline_expired"] += snapshot["deadline_expired"]
+            if handle.in_process:
+                continue
             entry: dict[str, Any] = {
                 "slot": slot,
                 "pid": handle.pid,
@@ -1305,19 +1446,9 @@ class ReplicaPool:
                 entry["breaker"] = breaker.stats()
             if snapshot is not None:
                 entry["engine"] = snapshot
-                agg["batches"] += snapshot["batches"]["count"]
-                agg["batched_requests"] += snapshot["batches"]["requests"]
-                agg["max_batch"] = max(
-                    agg["max_batch"], snapshot["batches"]["max_size"]
-                )
-                agg["cache_hits"] += snapshot["cache"]["hits"]
-                agg["cache_misses"] += snapshot["cache"]["misses"]
-                agg["cache_entries"] += snapshot["cache"]["entries"]
-                agg["queue_depth"] += snapshot["queue_depth"]
-                agg["deadline_expired"] += snapshot["deadline_expired"]
             replica_stats.append(entry)
         with self._lock:
-            in_flight = self.accepted - self.completed - self.rejected
+            in_flight = self.in_flight
             uptime = max(1e-9, time.monotonic() - self._started_at)
             latencies = {
                 task: nearest_rank_percentiles(list(window))

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import IntegrityError, RegistryError
-from repro.fsio import atomic_write_bytes, atomic_write_text, sha256_text
+from repro.fsio import atomic_write_text, atomic_writer, sha256_text
 from repro.serve import chaos
 from repro.validate.manifest import verify_manifest, write_manifest
 
@@ -255,7 +255,8 @@ class ModelRegistry:
         while version in existing:  # gap-tolerant (deleted versions)
             version = f"v{int(version[1:]) + 1:04d}"
         artifact = self._artifact_path(name, version)
-        atomic_write_bytes(artifact, payload)
+        with atomic_writer(artifact, encoding=None) as handle:
+            handle.write(payload)
         write_manifest(
             artifact,
             record_kind=MODEL_RECORD_KIND,

@@ -19,7 +19,7 @@ def nearest_rank(values: Iterable[float], q: float) -> float:
     Raw-value sibling of :func:`nearest_rank_percentiles` for callers
     that *act* on a quantile rather than report it — the hedge delay
     (p95 of a replica's recent latency window) and the deadline
-    admission gate (p50 of recent compute).  Returns 0.0 for an empty
+    admission gate (p50 of the same window).  Returns 0.0 for an empty
     window so callers can treat "no history yet" as "no estimate".
     """
     ordered = sorted(values)

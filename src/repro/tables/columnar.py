@@ -33,10 +33,10 @@ frozen dataclass and every relational operation returns a *new* table,
 so a view cached on an instance (``columnar_view``) can never go stale;
 all arrays are derived from the frozen ``(raw, type, typed)`` fields of
 the cells and are built lazily, at most once per (table, column,
-array).  Nothing here consumes randomness, so columnar and row-oriented
-execution are byte-identical — property-tested by
-``tests/test_prop_columnar_row_equivalence.py`` and required by the
-serial ≡ parallel guarantee (see docs/PERFORMANCE.md).
+array).  Nothing here consumes randomness, so execution is
+deterministic — required by the serial ≡ parallel guarantee (see
+docs/PERFORMANCE.md); ``tests/test_prop_columnar_row_equivalence.py``
+pins the reroutes to their row-at-a-time definitions.
 
 Array construction is timed under the ``columnar`` profiling stage
 (``sampler/executor/columnar`` in a profiled generation run), which is
@@ -277,8 +277,7 @@ class ColumnarTable:
         """The :class:`ColumnVector` for the named column (cached).
 
         Raises :class:`~repro.errors.ColumnNotFoundError` exactly like
-        ``Schema.index`` — the columnar path reports unknown columns
-        identically to the row path.  Lookups are cached under the
+        ``Schema.index``.  Lookups are cached under the
         exact spelling the caller used (lookups are case-insensitive,
         so several spellings may map to one vector).
         """

@@ -1,29 +1,31 @@
-"""Property tests: the columnar SQL engine ≡ the pre-refactor row path.
+"""Property tests: the columnar SQL engine against its oracles.
 
-The columnar executor (default) and the row-oriented executor (kept for
-one release behind ``REPRO_ROW_EXECUTOR=1``) must produce identical
-:class:`ExecutionResult`s — values, ``highlighted_cells``, and raised
-error types — over adversarial tables: mixed numeric surface forms
-(currency, thousands separators, percent), both date syntaxes,
-booleans, null conventions, and whitespace-y text, against every
-operator, aggregate, DISTINCT, ORDER BY / LIMIT, ``*`` projection, and
-arithmetic items the grammar supports.
+Query results are cross-checked against stdlib ``sqlite3`` (the paper's
+executor; the oracle's table space and loader live in
+``test_prop_sql_oracle``) over every operator, aggregate, DISTINCT,
+ORDER BY / LIMIT, ``*`` projection, and arithmetic item the grammar
+supports.
 
-The same suite pins the table-level columnar reroutes (``sort_by``,
-``distinct_values``, ``column_values``, ``row_names``) to their naive
-row-at-a-time definitions.
+The table-level columnar reroutes (``sort_by``, ``distinct_values``,
+``column_values``, ``row_names``) are pinned to their naive
+row-at-a-time definitions over adversarial tables: mixed numeric
+surface forms (currency, thousands separators, percent), both date
+syntaxes, booleans, null conventions, and whitespace-y text.
 """
 
 from __future__ import annotations
 
-import os
+import sqlite3
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ColumnNotFoundError
 from repro.programs.sql import parse_sql
-from repro.programs.sql.executor import ROW_EXECUTOR_FLAG
 from repro.tables.table import Table
+
+from .test_prop_sql_oracle import sqlite_denotation
+from .test_prop_sql_oracle import tables as oracle_tables
 
 _COLUMNS = ["name", "amount", "day", "flag"]
 
@@ -58,83 +60,51 @@ def tables(draw) -> Table:
 
 
 @st.composite
-def queries(draw) -> str:
+def oracle_queries(draw) -> str:
+    """The grammar beyond plain lookups, over the oracle's table space."""
     kind = draw(st.sampled_from(
         [
-            "eq", "neq", "ineq", "conj", "order", "star",
-            "count_star", "count_col", "count_distinct",
-            "agg", "arith",
+            "neq", "ineq", "conj", "order", "star",
+            "count_col", "count_distinct", "agg", "arith",
         ]
     ))
     op = draw(st.sampled_from(["<", ">", "<=", ">="]))
-    name = draw(_names).strip() or "alpha"
-    amount = draw(st.sampled_from(["1000", "$1,000", "0.5", "-17", "500"]))
-    day = draw(st.sampled_from(["2020-01-05", "January 5, 2020", "beta"]))
-    column = draw(st.sampled_from(_COLUMNS))
-    if kind == "eq":
-        return f"select amount from w where {column} = '{name}'"
+    grade = draw(st.sampled_from(["a", "b", "c"]))
+    threshold = draw(st.integers(min_value=-50, max_value=50))
+    column = draw(st.sampled_from(["name", "grade", "score"]))
     if kind == "neq":
-        return f"select name from w where {column} != '{day}'"
+        return f"select name from w where grade != '{grade}'"
     if kind == "ineq":
-        return f"select day from w where {column} {op} {amount}"
+        return f"select name from w where score {op} {threshold}"
     if kind == "conj":
         return (
-            f"select name from w where amount {op} {amount} "
-            f"and flag = 'yes'"
+            f"select name from w where score {op} {threshold} "
+            f"and grade = '{grade}'"
         )
     if kind == "order":
+        # sorted values, not names: ties make the chosen names ambiguous
         direction = draw(st.sampled_from(["asc", "desc"]))
         limit = draw(st.integers(min_value=1, max_value=4))
         return (
-            f"select name from w order by {column} {direction} "
-            f"limit {limit}"
+            f"select score from w order by score {direction} limit {limit}"
         )
     if kind == "star":
-        return f"select * from w where {column} {op} {amount}"
-    if kind == "count_star":
-        return f"select count ( * ) from w where {column} = '{name}'"
+        return f"select * from w where score {op} {threshold}"
     if kind == "count_col":
         return f"select count ( {column} ) from w"
     if kind == "count_distinct":
         return f"select count ( distinct {column} ) from w"
     if kind == "agg":
         agg = draw(st.sampled_from(["sum", "avg", "min", "max"]))
-        return f"select {agg} ( {column} ) from w where {column} {op} {amount}"
-    return "select max ( amount ) - min ( amount ) from w"
-
-
-def _columnar_outcome(table: Table, sql: str):
-    os.environ.pop(ROW_EXECUTOR_FLAG, None)
-    try:
-        return ("ok", parse_sql(sql).execute(table))
-    except Exception as error:  # compared by type below
-        return ("error", type(error))
-
-
-def _row_outcome(table: Table, sql: str):
-    os.environ[ROW_EXECUTOR_FLAG] = "1"
-    try:
-        return ("ok", parse_sql(sql).execute(table))
-    except Exception as error:
-        return ("error", type(error))
-    finally:
-        os.environ.pop(ROW_EXECUTOR_FLAG, None)
+        return f"select {agg} ( score ) from w where score {op} {threshold}"
+    return "select max ( score ) - min ( score ) from w"
 
 
 @settings(max_examples=300, deadline=None)
-@given(table=tables(), sql=queries())
-def test_columnar_matches_row_executor(table: Table, sql: str):
-    assert _columnar_outcome(table, sql) == _row_outcome(table, sql)
-
-
-@settings(max_examples=150, deadline=None)
-@given(table=tables(), sql=queries())
-def test_row_flag_round_trips(table: Table, sql: str):
-    """Toggling the flag back re-enables the columnar engine cleanly."""
-    first = _columnar_outcome(table, sql)
-    _row_outcome(table, sql)
-    assert _columnar_outcome(table, sql) == first
-    assert ROW_EXECUTOR_FLAG not in os.environ
+@given(table=oracle_tables(), sql=oracle_queries())
+def test_columnar_matches_sqlite(table: Table, sql: str):
+    ours = parse_sql(sql).execute(table).denotation()
+    assert ours == sqlite_denotation(table, sql), sql
 
 
 @settings(max_examples=120, deadline=None)
@@ -195,5 +165,8 @@ def test_view_is_cached_and_not_inherited_by_derived_tables():
     "select name from w order by missing asc",
 ])
 def test_unknown_columns_raise_identically(sql: str):
-    table = Table.from_rows(["name"], [["alpha"]])
-    assert _columnar_outcome(table, sql) == _row_outcome(table, sql)
+    table = Table.from_rows(["name", "grade", "score"], [["alpha", "a", "1"]])
+    with pytest.raises(ColumnNotFoundError):
+        parse_sql(sql).execute(table)
+    with pytest.raises(sqlite3.OperationalError, match="no such column"):
+        sqlite_denotation(table, sql)

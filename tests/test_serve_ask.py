@@ -17,6 +17,7 @@ from repro.serve import (
     EngineConfig,
     HttpServeClient,
     InferenceEngine,
+    ReplicaPool,
     ServeClient,
     TASK_ASK,
     TASK_QA,
@@ -50,7 +51,9 @@ def served(tiny_qa_model, tiny_verifier, store_root):
         EngineConfig(workers=2, max_batch_size=8),
     )
     engine.start()
-    server = make_server(engine, retriever=Retriever.open(store_root))
+    server = make_server(
+        ReplicaPool.hosting(engine), retriever=Retriever.open(store_root)
+    )
     serve_in_thread(server)
     yield server
     server.shutdown()
@@ -121,7 +124,7 @@ class TestAskEndpoint:
             {TASK_QA: tiny_qa_model}, EngineConfig(workers=1)
         )
         engine.start()
-        server = make_server(engine)  # no retriever
+        server = make_server(ReplicaPool.hosting(engine))  # no retriever
         serve_in_thread(server)
         try:
             code, payload = _post_error(

@@ -9,6 +9,7 @@ from repro.serve import (
     EngineConfig,
     InferenceEngine,
     InferenceRequest,
+    ReplicaPool,
     TASK_QA,
     TASK_VERIFY,
 )
@@ -340,40 +341,46 @@ class TestPercentiles:
 
 
 class TestReload:
+    """An engine serves fixed models; a model swap is a pool reload
+    that replaces the hosted engine and drains the old one."""
+
     def test_swap_model_flips_id_and_answers(self, serve_context):
         engine = InferenceEngine(
             {TASK_VERIFY: _ConstVerifier("supported")},
             EngineConfig(workers=1),
         )
-        engine.start()
-        try:
-            before = engine.infer(TASK_VERIFY, "some claim", serve_context)
+        with ReplicaPool.hosting(engine) as pool:
+            before = pool.infer(TASK_VERIFY, "some claim", serve_context)
             assert before.label == "supported"
-            summary = engine.swap_model(
-                TASK_VERIFY, _ConstVerifier("refuted")
-            )
-            assert summary["task"] == TASK_VERIFY
-            after = engine.infer(
+            summary = pool.reload({TASK_VERIFY: _ConstVerifier("refuted")})
+            assert summary["replicas"] == 1
+            after = pool.infer(
                 TASK_VERIFY, "a different claim", serve_context
             )
             assert after.label == "refuted"
-            stats = engine.stats()
+            stats = pool.stats()
             assert stats["reloads"] == 1
             assert stats["reconciles"]
-        finally:
-            engine.stop(drain=True)
+        # the replaced engine was drained and stopped
+        assert engine.stats()["draining"]
 
     def test_swap_unknown_task_is_typed(self, tiny_qa_model):
-        with InferenceEngine({TASK_QA: tiny_qa_model}) as engine:
+        engine = InferenceEngine({TASK_QA: tiny_qa_model})
+        with ReplicaPool.hosting(engine) as pool:
             with pytest.raises(ServeError):
-                engine.swap_model(TASK_VERIFY, _ConstVerifier("refuted"))
+                pool.reload({TASK_VERIFY: _ConstVerifier("refuted")})
 
     def test_swap_wrong_task_model_is_typed(
-        self, tiny_qa_model, tiny_verifier
+        self, tiny_qa_model, tiny_verifier, serve_context
     ):
-        with InferenceEngine({TASK_QA: tiny_qa_model}) as engine:
+        engine = InferenceEngine({TASK_QA: tiny_qa_model})
+        with ReplicaPool.hosting(engine) as pool:
             with pytest.raises(ServeError):
-                engine.swap_model(TASK_QA, tiny_verifier)
+                pool.reload({TASK_QA: tiny_verifier})
+            # the failed reload left the old engine serving
+            assert pool.infer(
+                TASK_QA, "what is the points of bo chen ?", serve_context
+            ).ok
 
 
 class TestCacheFingerprint:
@@ -386,19 +393,16 @@ class TestCacheFingerprint:
             {TASK_VERIFY: _ConstVerifier("supported")},
             EngineConfig(workers=1, cache_size=64),
         )
-        engine.start()
-        try:
+        with ReplicaPool.hosting(engine) as pool:
             sentence = "the exact same claim twice"
-            first = engine.infer(TASK_VERIFY, sentence, serve_context)
-            repeat = engine.infer(TASK_VERIFY, sentence, serve_context)
+            first = pool.infer(TASK_VERIFY, sentence, serve_context)
+            repeat = pool.infer(TASK_VERIFY, sentence, serve_context)
             assert first.label == repeat.label == "supported"
             assert repeat.cached
-            engine.swap_model(TASK_VERIFY, _ConstVerifier("refuted"))
-            fresh = engine.infer(TASK_VERIFY, sentence, serve_context)
+            pool.reload({TASK_VERIFY: _ConstVerifier("refuted")})
+            fresh = pool.infer(TASK_VERIFY, sentence, serve_context)
             assert fresh.label == "refuted"  # not the stale "supported"
             assert not fresh.cached
-        finally:
-            engine.stop(drain=True)
 
     def test_distinct_unregistered_models_never_share_entries(self):
         from repro.serve.engine import _ModelSlot
@@ -448,16 +452,15 @@ class TestRetryAfter:
             {TASK_VERIFY: _ConstVerifier("supported")},
             EngineConfig(workers=1),
         )
-        engine.start()
-        try:
-            engine.infer(TASK_VERIFY, "prime the window", serve_context)
+        with ReplicaPool.hosting(engine) as pool:
+            pool.infer(TASK_VERIFY, "prime the window", serve_context)
             with engine._cond:
                 assert len(engine._recent_compute) > 0
-            engine.swap_model(TASK_VERIFY, _ConstVerifier("refuted"))
-            with engine._cond:
-                assert len(engine._recent_compute) == 0
-        finally:
-            engine.stop(drain=True)
+            pool.reload({TASK_VERIFY: _ConstVerifier("refuted")})
+            # the reload served a fresh engine, which starts cold
+            fresh = pool.stats()
+            assert fresh["models"][TASK_VERIFY] == "unregistered-verify@v0"
+            assert fresh["batches"]["count"] == 0
 
     def test_empty_window_uses_default(self, tiny_verifier):
         from repro.serve.engine import _DEFAULT_RETRY_AFTER
@@ -468,32 +471,40 @@ class TestRetryAfter:
 
 
 class TestDeadlines:
+    """Admission by budget is the pool's; an engine only expires a
+    request whose budget ran out while it was queued."""
+
     def test_non_positive_deadline_is_typed(self, engine, serve_context):
         from repro.errors import DeadlineExceededError
 
+        pool = ReplicaPool.hosting(engine)
         with pytest.raises(DeadlineExceededError) as caught:
-            engine.infer(
+            pool.infer(
                 TASK_QA, "what is the points of bo chen ?", serve_context,
                 deadline_s=0.0,
             )
         assert caught.value.remaining_s == 0.0
-        stats = engine.stats()
+        stats = pool.stats()
         assert stats["deadline_rejected"] == 1
         assert stats["rejected"] == 1
         assert stats["reconciles"]
+        # rejected before dispatch: the engine never saw it
+        assert engine.stats()["accepted"] == 0
 
     def test_budget_below_p50_compute_is_rejected(
         self, engine, serve_context
     ):
         from repro.errors import DeadlineExceededError
 
-        # warm the compute window so the p50 estimate is non-zero
+        pool = ReplicaPool.hosting(engine)
+        # warm the slot's latency window (compute plus queueing) so the
+        # p50 estimate is non-zero
         for i in range(3):
-            assert engine.infer(
+            assert pool.infer(
                 TASK_QA, f"what is warm question {i} ?", serve_context
             ).ok
         with pytest.raises(DeadlineExceededError) as caught:
-            engine.infer(
+            pool.infer(
                 TASK_QA, "what is the team of raj patel ?", serve_context,
                 deadline_s=1e-9,
             )
@@ -506,19 +517,18 @@ class TestDeadlines:
             deadline_s=60.0,
         )
         assert response.ok
-        assert engine.stats()["deadline_rejected"] == 0
+        assert engine.stats()["rejected"] == 0
 
     def test_cache_hit_ignores_deadline(self, engine, serve_context):
-        from repro.errors import DeadlineExceededError
-
         sentence = "what is the rebounds of mike jones ?"
         assert engine.infer(TASK_QA, sentence, serve_context).ok
-        # a cached answer costs nothing; even a dead budget serves it
-        with pytest.raises(DeadlineExceededError):
-            engine.infer(
-                TASK_QA, "what is the team of raj patel ?", serve_context,
-                deadline_s=0.0,
-            )
+        # a computed answer on a dead budget expires in the queue…
+        expired = engine.infer(
+            TASK_QA, "what is the team of raj patel ?", serve_context,
+            deadline_s=0.0,
+        )
+        assert expired.error.startswith("deadline_exceeded")
+        # …but a cached answer costs nothing: even a dead budget gets it
         cached = engine.infer(
             TASK_QA, sentence, serve_context, deadline_s=0.0
         )

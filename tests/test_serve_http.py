@@ -20,11 +20,14 @@ from repro.serve import (
     InferenceEngine,
     InferenceRequest,
     ModelRegistry,
+    PoolConfig,
+    ReplicaPool,
     ServeClient,
     TASK_QA,
     TASK_VERIFY,
     build_workload,
     make_server,
+    pool_from_registry,
     run_load,
     serve_in_thread,
 )
@@ -39,7 +42,7 @@ def served(tiny_qa_model, tiny_verifier):
         EngineConfig(workers=2, max_batch_size=8),
     )
     engine.start()
-    server = make_server(engine)
+    server = make_server(ReplicaPool.hosting(engine))
     serve_in_thread(server)
     yield server
     server.shutdown()
@@ -98,6 +101,17 @@ class TestEndpoints:
         assert metrics["reconciles"]
         assert "latency" in metrics and "batches" in metrics
 
+    def test_in_process_backend_is_one_pool_slot(self, served):
+        client = HttpServeClient(f"http://127.0.0.1:{served.port}")
+        health = client.healthz()
+        assert health["routable_replicas"] == 1
+        assert health["replicas"] == [
+            {"slot": 0, "state": "ready", "routable": True,
+             "breaker": "closed"},
+        ]
+        # /metrics lists replica processes; this slot is the frontend
+        assert client.metrics()["replicas"] == []
+
     def test_bad_json_is_400(self, served):
         request = urllib.request.Request(
             f"http://127.0.0.1:{served.port}/v1/qa",
@@ -148,7 +162,7 @@ class TestOverloadOverHttp:
             {TASK_VERIFY: tiny_verifier},
             EngineConfig(workers=1, queue_limit=1, cache_size=0),
         )
-        server = make_server(engine)
+        server = make_server(ReplicaPool.hosting(engine))
         serve_in_thread(server)
         try:
             engine.submit(InferenceRequest(
@@ -434,14 +448,15 @@ class TestSanitizeOverHttp:
         )
         engine.start()
         try:
-            client = ServeClient(engine)
+            pool = ReplicaPool.hosting(engine)
+            client = ServeClient(pool)
             messy = perturb_context(serve_context, "client:0", "light")
             response = client.qa(
                 "what is the points of bo chen ?", messy, sanitize=True
             )
             assert response.ok
             assert response.sanitize is not None
-            assert engine.stats()["sanitize"]["requests"] == 1
+            assert pool.stats()["sanitize"]["requests"] == 1
         finally:
             engine.stop(drain=True)
 
@@ -453,7 +468,7 @@ class TestSanitizeOverHttp:
             {TASK_VERIFY: tiny_verifier},
             EngineConfig(workers=1, queue_limit=1, cache_size=0),
         )
-        server = make_server(engine)
+        server = make_server(ReplicaPool.hosting(engine))
         serve_in_thread(server)
         try:
             engine.submit(InferenceRequest(
@@ -464,7 +479,7 @@ class TestSanitizeOverHttp:
             with pytest.raises(OverloadedError):
                 client.verify("one too many", serve_context, sanitize=True)
             # rejected requests never reach the model: not counted
-            assert engine.stats()["sanitize"]["requests"] == 0
+            assert client.metrics()["sanitize"]["requests"] == 0
         finally:
             server.shutdown()
             server.server_close()
@@ -551,21 +566,14 @@ class TestAdminReload:
     ):
         registry = ModelRegistry(tmp_path / "registry")
         registry.save(tiny_verifier, "verifier")
-        engine = InferenceEngine(
-            {TASK_VERIFY: registry.load("verifier")},
-            EngineConfig(workers=1),
+        pool = pool_from_registry(
+            str(tmp_path / "registry"),
+            config=PoolConfig(
+                replicas=1, in_process=True, engine=EngineConfig(workers=1)
+            ),
         )
-        engine.start()
-
-        def reloader():
-            fresh = registry.load("verifier")
-            return {
-                "changes": {
-                    TASK_VERIFY: engine.swap_model(TASK_VERIFY, fresh)
-                }
-            }
-
-        server = make_server(engine, reloader=reloader)
+        pool.start()
+        server = make_server(pool, reloader=pool.reload)
         serve_in_thread(server)
         try:
             client = HttpServeClient(f"http://127.0.0.1:{server.port}")
@@ -575,9 +583,8 @@ class TestAdminReload:
             registry.save(tiny_verifier, "verifier")
             summary = client.reload()
             assert summary["ok"] is True
-            change = summary["reload"]["changes"][TASK_VERIFY]
-            assert change["old"] == "verifier@v0001"
-            assert change["new"] == "verifier@v0002"
+            assert summary["reload"]["old"][TASK_VERIFY] == "verifier@v0001"
+            assert summary["reload"]["new"][TASK_VERIFY] == "verifier@v0002"
             after = client.verify(
                 "a brand new claim after reload", serve_context
             )
@@ -588,7 +595,7 @@ class TestAdminReload:
         finally:
             server.shutdown()
             server.server_close()
-            engine.stop(drain=True)
+            pool.stop(drain=True)
 
     def test_reload_failure_is_409(self, tiny_verifier, serve_context):
         from repro.errors import ReproError
@@ -601,7 +608,7 @@ class TestAdminReload:
         def reloader():
             raise ReproError("registry artifact digest mismatch")
 
-        server = make_server(engine, reloader=reloader)
+        server = make_server(ReplicaPool.hosting(engine), reloader=reloader)
         serve_in_thread(server)
         try:
             status, body = _post_error(server.port, "/v1/admin/reload", {})
@@ -618,7 +625,6 @@ class TestAdminReload:
 
 class TestPoolOverHttp:
     def test_pool_behind_http_frontend(self, tmp_path, serve_context):
-        from repro.serve import PoolConfig, pool_from_registry
         from repro.serve.stub import FixedServiceQA, FixedServiceVerifier
 
         registry = ModelRegistry(tmp_path / "registry")
@@ -661,7 +667,7 @@ class TestOpenLoopLoadgen:
     def test_open_loop_reports_offered_rate(self, served, serve_context):
         from repro.serve import run_load_open
 
-        client = ServeClient(served.engine)
+        client = ServeClient(served.backend)
         workload = build_workload([serve_context], 40, seed=11)
         report = run_load_open(client, workload, rate=200.0, clients=8)
         assert report.mode == "open"
@@ -705,7 +711,7 @@ class TestOpenLoopLoadgen:
         from repro.errors import ServeError
         from repro.serve import run_load_open
 
-        client = ServeClient(served.engine)
+        client = ServeClient(served.backend)
         workload = build_workload([serve_context], 4, seed=1)
         with pytest.raises(ServeError):
             run_load_open(client, workload, rate=0.0)
@@ -800,7 +806,6 @@ class TestDeadlinesOverHttp:
 
 class TestPoolHealthz:
     def test_healthz_reports_replica_states(self, tmp_path, serve_context):
-        from repro.serve import PoolConfig, pool_from_registry
         from repro.serve.stub import FixedServiceQA, FixedServiceVerifier
 
         registry = ModelRegistry(tmp_path / "registry")

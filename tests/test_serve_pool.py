@@ -261,3 +261,127 @@ class TestReplicaDeath:
             assert victim not in pids
         finally:
             pool.stop(drain=True)
+
+
+class TestInProcessTransport:
+    """The in-process engine is a one-slot pool: same surface, no pipe."""
+
+    @pytest.fixture
+    def local_pool(self, stub_registry):
+        pool = pool_from_registry(
+            str(stub_registry),
+            config=PoolConfig(
+                replicas=1, in_process=True, engine=EngineConfig(workers=1)
+            ),
+        )
+        pool.start()
+        yield pool
+        pool.stop(drain=True)
+
+    def test_in_process_pool_has_one_slot(self):
+        with pytest.raises(ServeError):
+            PoolConfig(replicas=2, in_process=True)
+
+    def test_serves_reloads_and_reports_no_processes(
+        self, stub_registry, local_pool, serve_context
+    ):
+        first = local_pool.infer(TASK_QA, "what is it ?", serve_context)
+        assert first.ok and first.model == "qa-stub@v0001"
+        ModelRegistry(stub_registry).save(FixedServiceQA(0.001), "qa-stub")
+        summary = local_pool.reload()
+        assert summary["old"][TASK_QA] == "qa-stub@v0001"
+        assert summary["new"][TASK_QA] == "qa-stub@v0002"
+        after = local_pool.infer(TASK_QA, "what is it now ?", serve_context)
+        assert after.model == "qa-stub@v0002"
+        stats = local_pool.stats()
+        assert stats["reloads"] == 1
+        assert stats["completed"] == 2 and stats["reconciles"]
+        # the new engine's batches only: the drained one is gone
+        assert stats["batches"]["count"] == 1
+        # no replica processes: the slot runs in this process
+        assert stats["replicas"] == []
+        health = local_pool.health()
+        assert health["status"] == "ok"
+        assert [e["state"] for e in health["replicas"]] == ["ready"]
+
+    def test_in_flight_is_counted_not_derived(self, serve_context):
+        from repro.serve import InferenceEngine
+
+        # a never-started engine holds the request queued
+        engine = InferenceEngine(
+            {TASK_VERIFY: FixedServiceVerifier(0.0)},
+            EngineConfig(workers=1, cache_size=0),
+        )
+        pool = ReplicaPool.hosting(engine)
+        box = {}
+        waiter = threading.Thread(
+            target=lambda: box.update(response=pool.infer(
+                TASK_VERIFY, "a queued claim", serve_context
+            )),
+        )
+        waiter.start()
+        deadline = time.monotonic() + 10
+        while pool.stats()["queue_depth"] == 0:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        stats = pool.stats()
+        assert stats["accepted"] == 1 and stats["in_flight"] == 1
+        assert stats["reconciles"]
+        pool.start()
+        waiter.join(10)
+        assert box["response"].ok
+        pool.stop(drain=True)
+        stats = pool.stats()
+        assert stats["in_flight"] == 0 and stats["completed"] == 1
+
+    def test_engine_overload_is_typed_and_never_hedged(self, serve_context):
+        from repro.errors import OverloadedError
+        from repro.serve import InferenceEngine, InferenceRequest
+
+        engine = InferenceEngine(
+            {TASK_VERIFY: FixedServiceVerifier(0.0)},
+            EngineConfig(workers=1, queue_limit=1, cache_size=0),
+        )
+        engine.submit(InferenceRequest(
+            id="hog", task=TASK_VERIFY, sentence="hog", context=serve_context,
+        ))
+        pool = ReplicaPool.hosting(engine)
+        with pytest.raises(OverloadedError) as caught:
+            pool.infer(TASK_VERIFY, "one too many", serve_context)
+        assert caught.value.retry_after > 0
+        stats = pool.stats()
+        assert stats["rejected"] == 1
+        assert stats["hedges"] == {"fired": 0, "won": 0}
+        assert stats["reconciles"]
+        engine.stop(drain=False)
+
+    def test_stop_returns_after_every_request_is_booked(
+        self, serve_context
+    ):
+        from repro.serve import InferenceEngine
+
+        engine = InferenceEngine(
+            {TASK_VERIFY: FixedServiceVerifier(0.0)},
+            EngineConfig(workers=1, cache_size=0),
+        )
+        pool = ReplicaPool.hosting(engine)  # never started: all queue
+        callers = [
+            threading.Thread(target=pool.infer, args=(
+                TASK_VERIFY, f"queued claim {i}", serve_context,
+            ))
+            for i in range(4)
+        ]
+        for caller in callers:
+            caller.start()
+        deadline = time.monotonic() + 10
+        while engine.stats()["queue_depth"] < 4:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        pool.stop(drain=False)
+        # the callers' error responses are booked before stop returns
+        stats = pool.stats()
+        assert stats["in_flight"] == 0
+        assert stats["completed"] == 4 and stats["reconciles"]
+        for caller in callers:
+            caller.join(10)
+            assert not caller.is_alive()

@@ -120,3 +120,30 @@ class TestExecutionResult:
     def test_denotation_of_boolean(self):
         assert ExecutionResult(values=(), truth=True).denotation() == ["true"]
         assert ExecutionResult(values=(), truth=False).denotation() == ["false"]
+
+
+class TestAtomicWriter:
+    """``repro.fsio.atomic_writer``: text and binary, all-or-nothing."""
+
+    def test_text_and_binary_round_trip(self, tmp_path):
+        from repro.fsio import atomic_writer
+
+        with atomic_writer(tmp_path / "a.txt") as handle:
+            handle.write("héllo\n")
+        with atomic_writer(tmp_path / "b.bin", encoding=None) as handle:
+            handle.write(b"\x00\xffpayload")
+        assert (tmp_path / "a.txt").read_text(encoding="utf-8") == "héllo\n"
+        assert (tmp_path / "b.bin").read_bytes() == b"\x00\xffpayload"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.bin"]
+
+    def test_failed_write_leaves_old_content(self, tmp_path):
+        from repro.fsio import atomic_writer
+
+        target = tmp_path / "artifact.bin"
+        target.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with atomic_writer(target, encoding=None) as handle:
+                handle.write(b"half of the new")
+                raise RuntimeError("killed mid-write")
+        assert target.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
