@@ -12,7 +12,7 @@ store + ask path promises:
    HTTP 200 with ``ok: false``, never a 5xx.
 3. A mixed ``ask_fraction`` loadgen workload completes with zero
    failures, and ``GET /metrics`` reconciles on both layers: the
-   engine's ``accepted == completed + rejected + in_flight`` and the
+   pool's ``accepted == completed + rejected + in_flight`` and the
    ask section's ``requests == answered + retrieval_miss``.
 4. ``/v1/qa`` and ``/v1/ask`` share one validation path: the same
    malformed fields draw the same 400s naming the same field.

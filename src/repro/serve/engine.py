@@ -21,21 +21,14 @@ An engine serves a fixed set of models for its whole life.  It is what
 a :class:`~repro.serve.pool.ReplicaPool` slot runs — inside a replica
 process, or hosted in the frontend's own process — and the pool owns
 everything that spans engines: reload (a fresh engine replaces the old
-one, which drains), health, routing, deadline admission and the
-serving-level accounting.  An engine only expires a request whose
-budget ran out while it was queued.
+one, which drains), health, routing, deadline admission and the one
+serving ledger (``accepted == completed + rejected + in_flight``).  An
+engine only expires a request whose budget ran out while it was queued.
 
-Accounting invariant, checked by ``/metrics`` consumers and the tests::
-
-    accepted == completed + rejected + in_flight
-
-``accepted`` counts every submission the engine ever saw (including the
-ones it immediately rejected); a request ends in exactly one of
-``completed`` (a response was produced — possibly an error response,
-e.g. a blown per-request deadline) or ``rejected`` (overload or
-shutdown; no compute was done), and is ``in_flight`` in between.  All
-counters also mirror into a :class:`repro.telemetry.Telemetry` sink
-under the ``serve`` section so run reports can fold serving stats in.
+:meth:`InferenceEngine.stats` is one flat snapshot of what only the
+engine can see: its queue depth and queued-plus-computing count, its
+batches, its response cache, the requests it expired and the model ids
+it serves.
 """
 
 from __future__ import annotations
@@ -65,12 +58,7 @@ from repro.serve.registry import (
     LoadedModel,
     model_task,
 )
-from repro.serve.stats import nearest_rank_percentiles
 from repro.tables.context import TableContext
-from repro.telemetry import Telemetry
-
-#: latency samples kept per task for percentile estimation.
-_LATENCY_WINDOW = 8192
 
 #: recent per-request compute samples backing the retry-after hint.
 #: Bounded so the estimate tracks the current load rather than the
@@ -99,9 +87,6 @@ class EngineConfig:
     cache_size: int = 1024
     #: deadline applied to requests that do not carry their own.
     default_deadline_s: float | None = None
-    #: unpickle an independent model replica per worker (lock-free
-    #: inference).  Disable only for tests that need object identity.
-    replicate_models: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -341,12 +326,10 @@ class _ModelSlot:
         self.task = task
         self.loaded = loaded
         if isinstance(loaded, LoadedModel):
-            self.model = loaded.model
             self.payload = loaded.payload
             self.model_id = loaded.record.model_id
             self.fingerprint = loaded.record.artifact_sha256
         else:
-            self.model = loaded
             self.payload = pickle.dumps(loaded, protocol=4)
             self.model_id = f"unregistered-{task}@v0"
             self.fingerprint = hashlib.sha256(self.payload).hexdigest()
@@ -372,7 +355,6 @@ class InferenceEngine:
         self,
         models: dict[str, Any],
         config: EngineConfig | None = None,
-        telemetry: Telemetry | None = None,
     ):
         if not models:
             raise ServeError("engine needs at least one model")
@@ -380,7 +362,6 @@ class InferenceEngine:
             if task not in TASKS:
                 raise ServeError(f"unknown task {task!r} in models mapping")
         self.config = config or EngineConfig()
-        self.telemetry = telemetry or Telemetry()
         self._slots = {
             task: _ModelSlot(task, loaded) for task, loaded in models.items()
         }
@@ -394,12 +375,8 @@ class InferenceEngine:
         self._started = False
         self._stopping = False
         self._threads: list[threading.Thread] = []
-        self._started_at = time.monotonic()
-        # accounting (all mutated under self._cond)
-        self.accepted = 0
-        self.completed = 0
-        self.rejected = 0
-        self.errors = 0
+        # engine-side figures (all mutated under self._cond); the
+        # serving ledger is the pool's.
         self.deadline_expired = 0
         self._queued = 0       # waiting in a queue
         self._computing = 0    # taken by a worker, not yet completed
@@ -407,9 +384,6 @@ class InferenceEngine:
         self._batched_requests = 0
         self._max_batch_seen = 0
         self._recent_compute: deque[float] = deque(maxlen=_RETRY_WINDOW)
-        self._latencies: dict[str, deque[float]] = {
-            task: deque(maxlen=_LATENCY_WINDOW) for task in self._slots
-        }
         # serving fault injection (None unless a plan was installed in
         # this process's environment before the engine was built — the
         # zero-overhead-when-disabled guarantee is this single None).
@@ -423,7 +397,6 @@ class InferenceEngine:
                 return self
             self._started = True
             self._stopping = False
-            self._started_at = time.monotonic()
         for index in range(self.config.workers):
             thread = threading.Thread(
                 target=self._worker, name=f"serve-worker-{index}", daemon=True
@@ -437,8 +410,8 @@ class InferenceEngine:
 
         New submissions are rejected immediately either way.  Without
         ``drain``, queued requests are failed fast with a ``stopped``
-        error response (counted as *rejected* — no compute happened)
-        so no caller is ever left hanging.
+        error response (no compute happened) so no caller is ever left
+        hanging.  Every completion callback has run when this returns.
         """
         abandoned: list[PendingResponse] = []
         with self._cond:
@@ -446,11 +419,8 @@ class InferenceEngine:
             if not drain:
                 for task_queue in self._queues.values():
                     while task_queue:
-                        pending = task_queue.popleft()
+                        abandoned.append(task_queue.popleft())
                         self._queued -= 1
-                        self.rejected += 1
-                        self.telemetry.increment("serve", "rejected")
-                        abandoned.append(pending)
             self._cond.notify_all()
         for pending in abandoned:
             pending._complete(
@@ -487,10 +457,12 @@ class InferenceEngine:
         """Admit a request; returns a waitable :class:`PendingResponse`.
 
         Raises :class:`OverloadedError` when the admission queue is
-        full and :class:`EngineStoppedError` after :meth:`stop` — both
-        count as *rejected*, and the engine did no model work.
-        ``on_done`` is called with the response, on the completing
-        thread, once it exists (immediately for a cache hit).
+        full and :class:`EngineStoppedError` after :meth:`stop`; the
+        engine did no model work for either.  ``on_done`` is called
+        with the response, on the completing thread, once it exists
+        (before this returns for a cache hit) — never under the
+        engine's lock, so a callback may block without stalling
+        admissions.
         """
         slot = self._slots.get(request.task)
         if slot is None:
@@ -503,54 +475,31 @@ class InferenceEngine:
             # digest outside the lock: hashing a big table must not
             # serialize admissions.
             cache_key = self._cache.key(slot, request)
-        now = time.monotonic()
+        pending = PendingResponse(request, time.monotonic(), on_done)
         with self._cond:
-            self.accepted += 1
-            self.telemetry.increment("serve", "accepted")
             if self._stopping:
-                self.rejected += 1
-                self.telemetry.increment("serve", "rejected")
                 raise EngineStoppedError(
                     "engine is stopped/draining; not accepting requests"
                 )
-            if cache_key is not None:
-                hit = self._cache.get(cache_key)
-                if hit is not None:
-                    self.completed += 1
-                    self.telemetry.increment("serve", "completed")
-                    self.telemetry.increment("serve", "cache_hit")
-                    pending = PendingResponse(request, now, on_done)
-                    pending._complete(
-                        InferenceResponse(
-                            id=request.id,
-                            task=hit.task,
-                            ok=hit.ok,
-                            answer=hit.answer,
-                            label=hit.label,
-                            error=hit.error,
-                            cached=True,
-                            model=hit.model,
-                            timing=Timing(0.0, 0.0, 0.0, 1),
-                        )
-                    )
-                    return pending
-            if self._queued >= self.config.queue_limit:
-                self.rejected += 1
-                self.telemetry.increment("serve", "rejected")
-                self.telemetry.increment("serve", "overloaded")
+            hit = None if cache_key is None else self._cache.get(cache_key)
+            if hit is None and self._queued >= self.config.queue_limit:
                 raise OverloadedError(
                     f"admission queue full ({self._queued}/"
                     f"{self.config.queue_limit})",
                     retry_after=self._retry_after_locked(),
                 )
-            pending = PendingResponse(request, now, on_done)
-            self._queues[request.task].append(pending)
-            self._queued += 1
-            self.telemetry.increment("serve", f"queued/{request.task}")
-            # notify_all: a single notify could wake only a worker that
-            # is lingering on the *other* task's micro-batch, leaving
-            # this request to an idle worker's poll interval instead.
-            self._cond.notify_all()
+            if hit is None:
+                self._queues[request.task].append(pending)
+                self._queued += 1
+                # notify_all: a single notify could wake only a worker
+                # that is lingering on the *other* task's micro-batch,
+                # leaving this request to an idle worker's poll interval.
+                self._cond.notify_all()
+        if hit is not None:
+            pending._complete(replace(
+                hit, id=request.id, cached=True,
+                timing=Timing(0.0, 0.0, 0.0, 1), sanitize=None,
+            ))
         return pending
 
     def infer(
@@ -599,12 +548,7 @@ class InferenceEngine:
             slot = self._slots[task]
             model = replicas.get(task)
             if model is None:
-                model = (
-                    slot.replica()
-                    if self.config.replicate_models
-                    else slot.model
-                )
-                replicas[task] = model
+                model = replicas[task] = slot.replica()
             self._run_batch(task, slot, model, batch)
             # an idle worker must not pin its last batch (and the
             # requests' contexts) while it waits for the next one
@@ -659,7 +603,6 @@ class InferenceEngine:
             self._batches += 1
             self._batched_requests += len(batch)
             self._max_batch_seen = max(self._max_batch_seen, len(batch))
-            self.telemetry.increment("serve", f"batches/{task}")
         return task, batch
 
     def _to_sample(self, request: InferenceRequest) -> ReasoningSample:
@@ -770,101 +713,40 @@ class InferenceEngine:
                     len(batch),
                 )
                 finished.append((pending, replace(response, timing=timing)))
-        # account + publish
         with self._cond:
-            for pending, response in finished:
-                self._computing -= 1
-                self.completed += 1
-                self.telemetry.increment("serve", "completed")
-                if not response.ok:
-                    self.errors += 1
-                    self.telemetry.increment("serve", "error_responses")
-                    if response.error and response.error.startswith(
-                        "deadline_exceeded"
-                    ):
-                        self.deadline_expired += 1
-                        self.telemetry.increment("serve", "deadline_expired")
-                if response.timing is not None:
-                    if response.timing.compute_s > 0:
-                        self._recent_compute.append(
-                            response.timing.compute_s
-                        )
-                    self._latencies[task].append(response.timing.total_s)
+            self._computing -= len(finished)
+            for _, response in finished:
+                if response.timing.compute_s > 0:
+                    self._recent_compute.append(response.timing.compute_s)
+                if (response.error or "").startswith("deadline_exceeded"):
+                    self.deadline_expired += 1
         for pending, response in finished:
-            if (
-                response.ok
-                and self._cache.size > 0
-            ):
+            if response.ok and self._cache.size > 0:
                 self._cache.put(
                     self._cache.key(slot, pending.request), response
                 )
             pending._complete(response)
-        with self._cond:
-            self.telemetry.add_time(
-                f"serve/{task}", sum(
-                    r.timing.compute_s for _, r in finished
-                    if r.timing is not None
-                ), calls=len(finished),
-            )
 
     # -- stats --------------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        with self._cond:
-            return self._queued + self._computing
-
     def stats(self) -> dict[str, Any]:
-        """A JSON-compatible snapshot of engine accounting.
+        """One flat JSON-compatible snapshot of the engine's own figures.
 
-        ``reconciles`` asserts the lifecycle invariant
-        ``accepted == completed + rejected + in_flight`` over the
-        snapshot itself (taken under the lock, so it is exact).
+        ``in_flight`` counts requests queued or computing here (the
+        pool's ``in_flight`` is the serving ledger's); ``models`` maps
+        task to the served model id.
         """
         with self._cond:
-            in_flight = self._queued + self._computing
-            uptime = max(1e-9, time.monotonic() - self._started_at)
-            latencies = {
-                task: nearest_rank_percentiles(list(window))
-                for task, window in self._latencies.items()
-            }
-            snapshot: dict[str, Any] = {
-                "uptime_s": round(uptime, 3),
-                "accepted": self.accepted,
-                "completed": self.completed,
-                "rejected": self.rejected,
-                "in_flight": in_flight,
+            return {
                 "queue_depth": self._queued,
-                "errors": self.errors,
+                "in_flight": self._queued + self._computing,
                 "deadline_expired": self.deadline_expired,
-                "throughput_rps": round(self.completed / uptime, 2),
-                "batches": {
-                    "count": self._batches,
-                    "requests": self._batched_requests,
-                    "mean_size": round(
-                        self._batched_requests / self._batches, 3
-                    ) if self._batches else 0.0,
-                    "max_size": self._max_batch_seen,
-                },
-                "cache": {
-                    "hits": self._cache.hits,
-                    "misses": self._cache.misses,
-                    "entries": len(self._cache),
-                    "hit_rate": round(
-                        self._cache.hits
-                        / max(1, self._cache.hits + self._cache.misses),
-                        4,
-                    ),
-                },
-                "latency": latencies,
+                "batches": self._batches,
+                "batched_requests": self._batched_requests,
+                "max_batch": self._max_batch_seen,
+                "cache_hits": self._cache.hits,
+                "cache_misses": self._cache.misses,
+                "cache_entries": len(self._cache),
                 "models": {
                     task: slot.model_id for task, slot in self._slots.items()
                 },
-                "draining": self._stopping,
-                "workers": self.config.workers,
-                "max_batch_size": self.config.max_batch_size,
-                "reconciles": (
-                    self.accepted
-                    == self.completed + self.rejected + in_flight
-                ),
             }
-        return snapshot

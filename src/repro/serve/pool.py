@@ -14,12 +14,21 @@ Every server serves a :class:`ReplicaPool`.  A slot holds one
   whose engine runs in the frontend's own process; requests and
   responses are handed over as objects, with no pickling and no pipe.
 
-Either way the pool owns what spans engines, once: routing, serving
-accounting (``accepted == completed + rejected + in_flight``), deadline
-admission, zero-downtime reload, per-slot health and the ``/metrics``
-snapshot.  The backend surface the HTTP frontend and
-:class:`~repro.serve.http.ServeClient` rely on is ``infer`` /
-``reload`` / ``stats`` / ``health`` / ``note_sanitize`` / ``stop``.
+Either way the pool owns what spans engines, once: routing, deadline
+admission, zero-downtime reload, per-slot health and the one serving
+ledger — each request is booked here exactly once, as ``accepted`` and
+then ``completed`` (any response, ``ok`` or not; ``ok: false`` ones also
+count in ``errors``) or ``rejected`` (a typed exception), and is
+``in_flight`` in between, so ``accepted == completed + rejected +
+in_flight``.  Engines report only what the pool cannot see (queues,
+batches, cache, expiries).
+
+The backend surface the HTTP frontend and
+:class:`~repro.serve.http.ServeClient` rely on is ``infer`` (one
+request, routed, hedged and booked), ``reload`` (rolling, returns
+``{"old", "new", "replicas"}``), ``stats`` (the ``/metrics`` snapshot;
+a pure read), ``health`` (the ``/healthz`` payload), ``note_sanitize``
+(folds a sanitizer report into ``/metrics``) and ``stop``.
 
 Topology::
 
@@ -48,10 +57,13 @@ failures across a reload.  Responses are tagged with the serving
 per-model-version latency windows, so ``/metrics`` reads as a canary
 comparison across versions while old and new overlap.
 
-A replica process that dies unexpectedly (OOM kill, segfault) fails its
-in-flight requests with error responses, is removed from the routing
-table, and a replacement is spawned in the background
-(``replica_restarts`` counts these).
+A replica process that dies unexpectedly (OOM kill, segfault) closes
+its pipe.  Its reader thread then fails the in-flight requests with
+error responses, the slot leaves the routing set (``respawning`` in
+``/healthz``), and that same thread spawns the replacement, retrying a
+failed spawn with capped backoff — nothing has to call ``stats`` or
+``health`` for it to happen (``replica_restarts`` counts these).  A
+replica that was told to stop or drain is never respawned.
 
 Resilience layer (all per-request, all accounted in ``/metrics``):
 
@@ -97,7 +109,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import (
     DeadlineExceededError,
@@ -120,7 +132,6 @@ from repro.serve.engine import (
 from repro.serve.hedge import HedgePolicy
 from repro.serve.registry import TASKS, ModelRegistry
 from repro.serve.stats import nearest_rank, nearest_rank_percentiles
-from repro.telemetry import Telemetry
 
 #: latency samples kept per task / per model version at the pool level.
 _LATENCY_WINDOW = 8192
@@ -136,6 +147,12 @@ _SLOT_WINDOW = 512
 #: how long the parent waits for a freshly spawned replica's ready
 #: handshake (model loading + imports happen inside this budget).
 _SPAWN_TIMEOUT = 120.0
+
+#: flat engine snapshot figures the pool's ``stats`` sums over slots.
+_ENGINE_TOTALS = (
+    "queue_depth", "deadline_expired", "batches", "batched_requests",
+    "cache_hits", "cache_misses", "cache_entries",
+)
 
 #: resubmission budget for requests that race a rolling reload: a
 #: request dispatched to a replica in the same instant it begins
@@ -192,8 +209,6 @@ class PoolConfig:
     in_process: bool = False
     #: parent-side wait for one response before giving up on it.
     request_timeout_s: float = 30.0
-    #: respawn replicas that die unexpectedly.
-    restart_dead_replicas: bool = True
     #: hedged-dispatch policy; ``None`` disables hedging entirely
     #: (single-leg dispatch).  A one-slot pool has nowhere to hedge to.
     hedge: HedgePolicy | None = field(default_factory=HedgePolicy)
@@ -225,12 +240,14 @@ def _replica_main(
       ``("rejected", rid, kind, message, retry_after)``.
     * ``("stats", rid)`` — replied with ``("stats", rid, stats_json)``.
     * ``("stop", drain)`` — drain (or fail fast) the engine, flush all
-      pending replies, send ``("bye",)``, exit.
+      pending replies, send ``("bye", stats_json)``, exit.
 
-    The engine does the real work; this loop only moves messages.  A
-    single reader thread (this function) submits, and a small responder
-    pool relays completed results so a slow request never blocks the
-    pipe behind it.
+    The engine does the real work; this loop only moves messages.  This
+    thread submits, and each response is sent from the engine's
+    completion callback (on the worker that computed it, or here for a
+    cache hit), so a slow request never blocks the pipe behind it.
+    Workers run every callback before ``engine.stop(drain=True)``
+    returns, so ``("bye", …)`` always follows the last response.
 
     Chaos: any :mod:`repro.serve.chaos` plan installed in the parent
     rides into this process through the (spawn-inherited) environment;
@@ -238,17 +255,11 @@ def _replica_main(
     built so both the pipe-level injector here (hang/crash/corrupt) and
     the engine's own injector (slow) gate on the right replica index.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     os.environ[chaos.REPLICA_ENV] = str(slot)
     injector = chaos.replica_injector()
     engine = InferenceEngine(spec.resolve(), config)
     engine.start()
     send_lock = threading.Lock()
-    responders = ThreadPoolExecutor(
-        max_workers=max(4, config.workers * 2),
-        thread_name_prefix="replica-responder",
-    )
 
     def send(message: tuple) -> None:
         with send_lock:
@@ -257,19 +268,10 @@ def _replica_main(
             except (BrokenPipeError, OSError):  # parent died; exit below
                 pass
 
-    def relay(rid: int, pending) -> None:
-        try:
-            response = pending.result(timeout=None)
-            send(("response", rid, response.to_json()))
-        except Exception as error:  # never lose a reply slot
-            send(("rejected", rid, "error",
-                  f"{type(error).__name__}: {error}", 0.0))
+    def reply(rid: int) -> Callable[[InferenceResponse], None]:
+        return lambda response: send(("response", rid, response.to_json()))
 
-    stats = engine.stats()
-    send(("ready", {
-        "pid": os.getpid(),
-        "models": stats["models"],
-    }))
+    send(("ready", {"pid": os.getpid(), "models": engine.stats()["models"]}))
     try:
         while True:
             try:
@@ -303,7 +305,7 @@ def _replica_main(
                     context=context, deadline_s=deadline_s,
                 )
                 try:
-                    pending = engine.submit(request)
+                    engine.submit(request, on_done=reply(rid))
                 except OverloadedError as error:
                     send(("rejected", rid, "overloaded", str(error),
                           error.retry_after))
@@ -311,14 +313,10 @@ def _replica_main(
                     send(("rejected", rid, "stopped", str(error), 0.0))
                 except ServeError as error:
                     send(("rejected", rid, "error", str(error), 0.0))
-                else:
-                    responders.submit(relay, rid, pending)
             elif kind == "stats":
                 send(("stats", message[1], engine.stats()))
             elif kind == "stop":
-                drain = bool(message[1])
-                engine.stop(drain=drain)
-                responders.shutdown(wait=True)
+                engine.stop(drain=bool(message[1]), timeout=None)
                 # Grace window: an infer that raced into the pipe
                 # behind the stop message would otherwise sit unread
                 # until the parent's request timeout.  Reject each with
@@ -337,7 +335,6 @@ def _replica_main(
                 send(("bye", engine.stats()))
                 return
     finally:
-        responders.shutdown(wait=False)
         try:
             conn.close()
         except OSError:
@@ -404,15 +401,26 @@ def _interpret(waiter: _Waiter) -> InferenceResponse:
 
 
 class _ReplicaHandle:
-    """Parent-side view of one replica process: pipe, waiters, state."""
+    """Parent-side view of one replica process: pipe, waiters, state.
+
+    ``on_death`` runs on the reader thread once the process is gone
+    without having been asked to stop or drain (a crash or kill).
+    """
 
     in_process = False
     _ids = itertools.count(1)
 
-    def __init__(self, spec: ReplicaSpec, config: EngineConfig, slot: int):
+    def __init__(
+        self,
+        spec: ReplicaSpec,
+        config: EngineConfig,
+        slot: int,
+        on_death: Callable[["_ReplicaHandle"], None],
+    ):
         self.spec = spec
         self.config = config
         self.slot = slot
+        self.on_death = on_death
         self.uid = next(self._ids)
         self.models: dict[str, str] = {}
         self.pid: int | None = None
@@ -492,6 +500,8 @@ class _ReplicaHandle:
             waiter.complete(
                 "died", ("replica process exited mid-request",)
             )
+        if not (self._stop_sent or self.draining):
+            self.on_death(self)
 
     def _send(self, message: tuple) -> None:
         with self._send_lock:
@@ -656,7 +666,6 @@ class ReplicaPool:
         registry_dir: str,
         models: dict[str, tuple[str, str | None]],
         config: PoolConfig | None = None,
-        telemetry: Telemetry | None = None,
     ):
         if not models:
             raise ServeError("pool needs at least one (task, model) pair")
@@ -664,12 +673,10 @@ class ReplicaPool:
             if task not in TASKS:
                 raise ServeError(f"unknown task {task!r} in models mapping")
         spec = ReplicaSpec(registry_dir=str(registry_dir), models=())
-        self._setup(spec.updated(models), config or PoolConfig(), telemetry)
+        self._setup(spec.updated(models), config or PoolConfig())
 
     @classmethod
-    def hosting(
-        cls, engine: InferenceEngine, telemetry: Telemetry | None = None
-    ) -> "ReplicaPool":
+    def hosting(cls, engine: InferenceEngine) -> "ReplicaPool":
         """A one-slot in-process pool serving ``engine``.
 
         The engine starts with the pool (or earlier, by the caller).  A
@@ -680,17 +687,11 @@ class ReplicaPool:
         pool._setup(
             engine.models(),
             PoolConfig(replicas=1, engine=engine.config, in_process=True),
-            telemetry,
         )
         pool._slots[0] = _LocalReplica(engine, 0)
         return pool
 
-    def _setup(
-        self,
-        source: Any,
-        config: PoolConfig,
-        telemetry: Telemetry | None,
-    ) -> None:
+    def _setup(self, source: Any, config: PoolConfig) -> None:
         # what every slot's engine is built from: a registry spec, or
         # (in-process pools only) task -> already-loaded model.
         self._source = source
@@ -700,7 +701,6 @@ class ReplicaPool:
             if isinstance(source, ReplicaSpec) else source
         ))
         self.config = config
-        self.telemetry = telemetry or Telemetry()
         # routing table: slot index -> live handle. Swapped atomically
         # under _route_lock (reads take the lock briefly; the actual
         # request wait happens outside it).
@@ -723,7 +723,7 @@ class ReplicaPool:
         #: slots currently spawning their reload replacement (the old
         #: replica still serves; purely informational for /healthz).
         self._reloading_slots: set[int] = set()
-        # pool-level accounting (own lock; replicas keep their own too)
+        # the serving ledger (own lock): every request is booked here once
         self._lock = threading.Lock()
         self.accepted = 0
         self.completed = 0
@@ -751,7 +751,9 @@ class ReplicaPool:
     def _new_slot(self, slot: int, source: Any) -> Any:
         """An unstarted replica for ``slot`` built from ``source``."""
         if not self.config.in_process:
-            return _ReplicaHandle(source, self.config.engine, slot)
+            return _ReplicaHandle(
+                source, self.config.engine, slot, self._respawn
+            )
         models = (
             source.resolve() if isinstance(source, ReplicaSpec) else source
         )
@@ -890,10 +892,8 @@ class ReplicaPool:
         )
         with self._lock:
             self.accepted += 1
-            self.telemetry.increment("serve", "pool_accepted")
             if self._stopping:
                 self.rejected += 1
-                self.telemetry.increment("serve", "pool_rejected")
                 raise EngineStoppedError(
                     "pool is stopped/draining; not accepting requests"
                 )
@@ -910,12 +910,8 @@ class ReplicaPool:
             with self._lock:
                 self.rejected += 1
                 self.in_flight -= 1
-                self.telemetry.increment("serve", "pool_rejected")
                 if isinstance(error, DeadlineExceededError):
                     self.deadline_rejected += 1
-                    self.telemetry.increment(
-                        "serve", "pool_deadline_rejected"
-                    )
             raise
         except ServeError as error:
             # replica died / timed out / corrupt reply: surface as an
@@ -934,7 +930,6 @@ class ReplicaPool:
         with self._lock:
             self.completed += 1
             self.in_flight -= 1
-            self.telemetry.increment("serve", "pool_completed")
             if not response.ok:
                 self.errors += 1
             self._note_latency(task, response.model, total_s)
@@ -1056,7 +1051,6 @@ class ReplicaPool:
                 if is_primary and slot != primary:
                     with self._lock:
                         self.spills += 1
-                        self.telemetry.increment("serve", "pool_spills")
                 legs.append({
                     "slot": slot, "handle": handle, "rid": rid,
                     "waiter": waiter, "t0": time.monotonic(),
@@ -1101,9 +1095,6 @@ class ReplicaPool:
                     if leg["is_hedge"]:
                         with self._lock:
                             self.hedges_won += 1
-                            self.telemetry.increment(
-                                "serve", "pool_hedges_won"
-                            )
                     for loser in legs:
                         loser["handle"].forget(loser["rid"])
                         if leg["is_hedge"]:
@@ -1132,9 +1123,6 @@ class ReplicaPool:
                     if start_leg(frozenset(failed_slots), is_primary=False):
                         with self._lock:
                             self.hedges_fired += 1
-                            self.telemetry.increment(
-                                "serve", "pool_hedges_fired"
-                            )
                         hedge_at = None
                         continue
                 raise failures[0]
@@ -1171,9 +1159,6 @@ class ReplicaPool:
                 if can_hedge and start_leg(exclude, is_primary=False):
                     with self._lock:
                         self.hedges_fired += 1
-                        self.telemetry.increment(
-                            "serve", "pool_hedges_fired"
-                        )
             horizon = deadline_at
             if hedge_at is not None and hedge_at < horizon:
                 horizon = hedge_at
@@ -1271,47 +1256,41 @@ class ReplicaPool:
             self._source = source
             with self._lock:
                 self.reloads += 1
-                self.telemetry.increment("serve", "pool_reloads")
             return {
                 "old": old_models,
                 "new": self._models_snapshot(),
                 "replicas": self.config.replicas,
             }
 
-    def _restart_slot(self, slot: int, dead: _ReplicaHandle) -> None:
-        """Replace a dead replica (background thread)."""
-        try:
-            fresh = self._new_slot(slot, self._source)
-            fresh.start()
-        except Exception:  # spawn failed; slot stays dead
-            return
-        with self._route_lock:
-            if self._slots[slot] is dead:
-                self._slots[slot] = fresh
-                with self._lock:
-                    self.replica_restarts += 1
-                breaker = self._breakers[slot]
-                if breaker is not None:
-                    breaker.reset()
-            else:  # someone else (a reload) already replaced it
-                fresh.stop(drain=False)
+    def _respawn(self, dead: _ReplicaHandle) -> None:
+        """Replace a replica that died unasked (its reader thread runs this).
 
-    def ensure_live(self) -> None:
-        """Respawn any dead slots (called opportunistically by stats)."""
-        if not self.config.restart_dead_replicas or self._stopping:
-            return
+        A failed spawn is retried with capped backoff for as long as the
+        slot still holds the dead replica and the pool is serving.
+        """
+        slot, backoff = dead.slot, 0.5
+        while True:
+            with self._route_lock:
+                if self._stopping or self._slots[slot] is not dead:
+                    return
+            try:
+                fresh = self._new_slot(slot, self._source).start()
+                break
+            except Exception:
+                time.sleep(backoff)
+                backoff = min(30.0, backoff * 2)
         with self._route_lock:
-            dead = [
-                (slot, handle)
-                for slot, handle in enumerate(self._slots)
-                if handle is not None and handle.dead
-                and not handle.draining
-            ]
-        for slot, handle in dead:
-            threading.Thread(
-                target=self._restart_slot, args=(slot, handle),
-                name=f"replica-restart-{slot}", daemon=True,
-            ).start()
+            swapped = not self._stopping and self._slots[slot] is dead
+            if swapped:
+                self._slots[slot] = fresh
+        if not swapped:  # a reload or stop got there first
+            fresh.stop(drain=False)
+            return
+        with self._lock:
+            self.replica_restarts += 1
+        breaker = self._breakers[slot]
+        if breaker is not None:
+            breaker.reset()
 
     # -- health -------------------------------------------------------------
     def replica_states(self) -> list[dict[str, Any]]:
@@ -1390,16 +1369,15 @@ class ReplicaPool:
         return out
 
     def stats(self) -> dict[str, Any]:
-        """The ``/metrics`` snapshot: pool accounting plus engine totals.
+        """The ``/metrics`` snapshot: the serving ledger plus engine totals.
 
         Batching, cache, queue-depth and expiry figures are summed over
-        the slots' engines; ``latency_by_model`` is the canary view
-        across model versions.  ``replicas`` lists the replica
-        *processes* with their own engine snapshots — empty for an
-        in-process pool, whose one engine runs in this process and is
-        the top-level figures.
+        the slots' flat engine snapshots; ``latency_by_model`` is the
+        canary view across model versions.  ``replicas`` lists the
+        replica *processes*, each with its engine snapshot — empty for
+        an in-process pool, whose one engine runs in this process and
+        is the top-level figures.  A pure read: it changes nothing.
         """
-        self.ensure_live()
         states = {
             entry["slot"]: entry for entry in self.replica_states()
         }
@@ -1410,24 +1388,14 @@ class ReplicaPool:
                 if handle is not None
             ]
         replica_stats: list[dict[str, Any]] = []
-        agg = {
-            "batches": 0, "batched_requests": 0, "max_batch": 0,
-            "cache_hits": 0, "cache_misses": 0, "cache_entries": 0,
-            "queue_depth": 0, "deadline_expired": 0,
-        }
+        agg = dict.fromkeys(_ENGINE_TOTALS, 0)
+        agg["max_batch"] = 0
         for slot, handle in handles:
             snapshot = handle.stats_remote()
             if snapshot is not None:
-                agg["batches"] += snapshot["batches"]["count"]
-                agg["batched_requests"] += snapshot["batches"]["requests"]
-                agg["max_batch"] = max(
-                    agg["max_batch"], snapshot["batches"]["max_size"]
-                )
-                agg["cache_hits"] += snapshot["cache"]["hits"]
-                agg["cache_misses"] += snapshot["cache"]["misses"]
-                agg["cache_entries"] += snapshot["cache"]["entries"]
-                agg["queue_depth"] += snapshot["queue_depth"]
-                agg["deadline_expired"] += snapshot["deadline_expired"]
+                for key in _ENGINE_TOTALS:
+                    agg[key] += snapshot[key]
+                agg["max_batch"] = max(agg["max_batch"], snapshot["max_batch"])
             if handle.in_process:
                 continue
             entry: dict[str, Any] = {
@@ -1514,7 +1482,6 @@ def pool_from_registry(
     registry_dir: str,
     names: list[str] | None = None,
     config: PoolConfig | None = None,
-    telemetry: Telemetry | None = None,
 ) -> ReplicaPool:
     """Build a :class:`ReplicaPool` serving one model per task.
 
@@ -1537,6 +1504,4 @@ def pool_from_registry(
                 f"task {record.task!r}; pass names to pick one per task"
             )
         models[record.task] = (name, None)
-    return ReplicaPool(
-        str(registry_dir), models, config=config, telemetry=telemetry
-    )
+    return ReplicaPool(str(registry_dir), models, config=config)

@@ -1,6 +1,7 @@
 """Tests for the micro-batching inference engine."""
 
 import threading
+import time
 
 import pytest
 
@@ -9,15 +10,60 @@ from repro.serve import (
     EngineConfig,
     InferenceEngine,
     InferenceRequest,
+    InferenceResponse,
     ReplicaPool,
     TASK_QA,
     TASK_VERIFY,
 )
-from repro.telemetry import Telemetry
+from repro.serve.stub import FixedServiceVerifier
 
 from .conftest import qa_lookup_samples, verification_samples
 
 pytestmark = pytest.mark.timeout(300)
+
+
+def _callers(pool, task, sentences, context):
+    """One started ``pool.infer`` caller per sentence.
+
+    Returns ``(threads, outcomes)``; each caller appends its response,
+    or the typed exception it caught, to ``outcomes``.
+    """
+    outcomes: list = []
+    lock = threading.Lock()
+
+    def call(sentence):
+        try:
+            outcome = pool.infer(task, sentence, context)
+        except ServeError as error:
+            outcome = error
+        with lock:
+            outcomes.append(outcome)
+
+    threads = [
+        threading.Thread(target=call, args=(sentence,), daemon=True)
+        for sentence in sentences
+    ]
+    for thread in threads:
+        thread.start()
+    return threads, outcomes
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+def _assert_books_match(stats, outcomes):
+    """The pool booked exactly what its callers observed."""
+    responses = [o for o in outcomes if isinstance(o, InferenceResponse)]
+    assert stats["accepted"] == len(outcomes)
+    assert stats["completed"] == len(responses)
+    assert stats["errors"] == sum(not r.ok for r in responses)
+    assert stats["rejected"] == len(outcomes) - len(responses)
+    assert stats["in_flight"] == 0
+    assert stats["reconciles"]
 
 
 class _ExplodingVerifier:
@@ -90,21 +136,21 @@ class TestBatching:
         assert all(r.ok for r in responses)
         assert responses[0].timing.batch_size == 6
         stats = engine.stats()
-        assert stats["batches"]["max_size"] == 6
-        assert stats["batches"]["count"] == 1
+        assert stats["max_batch"] == 6
+        assert stats["batches"] == 1
+        assert stats["batched_requests"] == 6
+        assert stats["in_flight"] == 0
 
     def test_batch_failure_fails_each_request(self, serve_context):
         engine = InferenceEngine(
             {TASK_VERIFY: _ExplodingVerifier()},
             EngineConfig(workers=1, cache_size=0),
         )
-        with engine:
-            response = engine.infer(TASK_VERIFY, "a claim", serve_context)
+        with ReplicaPool.hosting(engine) as pool:
+            response = pool.infer(TASK_VERIFY, "a claim", serve_context)
         assert not response.ok
         assert "boom" in response.error
-        stats = engine.stats()
-        assert stats["errors"] == 1
-        assert stats["reconciles"]
+        _assert_books_match(pool.stats(), [response])
 
 
 class TestAdmission:
@@ -115,34 +161,36 @@ class TestAdmission:
             {TASK_VERIFY: tiny_verifier},
             EngineConfig(workers=1, queue_limit=2, cache_size=0),
         )
+        pool = ReplicaPool.hosting(engine)
         # Not started: nothing drains, so the queue fills deterministically.
-        for i in range(2):
-            engine.submit(InferenceRequest(
-                id=f"q{i}", task=TASK_VERIFY, sentence=f"claim {i}",
-                context=serve_context,
-            ))
+        callers, outcomes = _callers(
+            pool, TASK_VERIFY, ["claim 0", "claim 1"], serve_context
+        )
+        _wait_for(lambda: engine.stats()["queue_depth"] == 2)
         with pytest.raises(OverloadedError) as caught:
-            engine.submit(InferenceRequest(
-                id="q2", task=TASK_VERIFY, sentence="claim 2",
-                context=serve_context,
-            ))
+            pool.infer(TASK_VERIFY, "claim 2", serve_context)
         assert caught.value.retry_after > 0
-        stats = engine.stats()
+        stats = pool.stats()
         assert stats["rejected"] == 1
         assert stats["accepted"] == 3
         assert stats["in_flight"] == 2
         assert stats["reconciles"]
-        engine.start()
-        engine.stop(drain=True)
-        assert engine.stats()["completed"] == 2
+        pool.start()
+        pool.stop(drain=True)
+        for caller in callers:
+            caller.join(10)
+        assert all(outcome.ok for outcome in outcomes)
+        _assert_books_match(pool.stats(), outcomes + [caught.value])
 
     def test_submit_after_stop_is_typed(self, tiny_verifier, serve_context):
         engine = InferenceEngine({TASK_VERIFY: tiny_verifier})
-        engine.start()
-        engine.stop()
+        pool = ReplicaPool.hosting(engine).start()
+        pool.stop()
         with pytest.raises(EngineStoppedError):
             engine.infer(TASK_VERIFY, "too late", serve_context)
-        assert engine.stats()["reconciles"]
+        with pytest.raises(EngineStoppedError) as caught:
+            pool.infer(TASK_VERIFY, "too late", serve_context)
+        _assert_books_match(pool.stats(), [caught.value])
 
     def test_deadline_expired_is_error_response(
         self, tiny_verifier, serve_context
@@ -162,7 +210,7 @@ class TestAdmission:
         assert response.error.startswith("deadline_exceeded")
         stats = engine.stats()
         assert stats["deadline_expired"] == 1
-        assert stats["reconciles"]
+        assert stats["in_flight"] == 0
 
 
 class TestCache:
@@ -177,7 +225,7 @@ class TestCache:
         assert not first.cached
         assert second.cached and second.answer == first.answer
         assert third.cached and third.answer == first.answer
-        assert engine.stats()["cache"]["hits"] == 2
+        assert engine.stats()["cache_hits"] == 2
 
     def test_cache_disabled(self, tiny_qa_model, serve_context):
         with InferenceEngine(
@@ -188,62 +236,130 @@ class TestCache:
             repeat = engine.infer(TASK_QA, "what is the points of bo chen ?",
                                   serve_context)
         assert not repeat.cached
-        assert engine.stats()["cache"]["hits"] == 0
+        assert engine.stats()["cache_hits"] == 0
+
+    def test_cache_hit_callback_never_blocks_admission(
+        self, engine, serve_context
+    ):
+        """A cache hit's ``on_done`` runs outside the engine's lock: a
+        callback that blocks must not stall another thread's submit."""
+        sentence = "what is the points of bo chen ?"
+        assert engine.infer(TASK_QA, sentence, serve_context).ok
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking(response):
+            entered.set()
+            release.wait(10)
+
+        hit = threading.Thread(
+            target=engine.submit,
+            args=(InferenceRequest(
+                id="hit", task=TASK_QA, sentence=sentence,
+                context=serve_context,
+            ),),
+            kwargs={"on_done": blocking},
+            daemon=True,
+        )
+        hit.start()
+        box = []
+        other = threading.Thread(
+            target=lambda: box.append(engine.infer(
+                TASK_QA, "what is the team of raj patel ?", serve_context,
+            )),
+            daemon=True,
+        )
+        try:
+            assert entered.wait(10)
+            other.start()
+            other.join(5)
+            assert not other.is_alive(), "admission waited on a callback"
+            assert box[0].ok
+        finally:
+            release.set()
+            hit.join(10)
+            other.join(10)
 
 
 class TestLifecycle:
+    """The hosting pool's ledger matches what its callers saw."""
+
     def test_drain_completes_everything(self, tiny_verifier, serve_context):
         engine = InferenceEngine(
             {TASK_VERIFY: tiny_verifier},
             EngineConfig(workers=2, cache_size=0),
         )
-        pendings = [
-            engine.submit(InferenceRequest(
-                id=f"d{i}", task=TASK_VERIFY, sentence=f"claim number {i}",
-                context=serve_context,
-            ))
-            for i in range(20)
-        ]
-        engine.start()
-        engine.stop(drain=True)
-        assert all(p.done() for p in pendings)
-        assert all(p.result(0).ok for p in pendings)
-        stats = engine.stats()
-        assert stats["completed"] == 20
-        assert stats["in_flight"] == 0
-        assert stats["reconciles"]
+        pool = ReplicaPool.hosting(engine)
+        callers, outcomes = _callers(
+            pool, TASK_VERIFY,
+            [f"claim number {i}" for i in range(20)], serve_context,
+        )
+        _wait_for(lambda: engine.stats()["queue_depth"] == 20)
+        pool.start()
+        pool.stop(drain=True)
+        for caller in callers:
+            caller.join(10)
+        assert len(outcomes) == 20
+        assert all(outcome.ok for outcome in outcomes)
+        _assert_books_match(pool.stats(), outcomes)
+        assert engine.stats()["in_flight"] == 0
 
     def test_no_drain_fails_fast_not_hangs(self, tiny_verifier, serve_context):
         engine = InferenceEngine(
             {TASK_VERIFY: tiny_verifier}, EngineConfig(cache_size=0)
         )
-        pendings = [
-            engine.submit(InferenceRequest(
-                id=f"n{i}", task=TASK_VERIFY, sentence=f"claim {i}",
-                context=serve_context,
-            ))
-            for i in range(5)
-        ]
-        engine.stop(drain=False)
-        for pending in pendings:
-            response = pending.result(1.0)
+        pool = ReplicaPool.hosting(engine)  # never started: all queue
+        callers, outcomes = _callers(
+            pool, TASK_VERIFY, [f"claim {i}" for i in range(5)],
+            serve_context,
+        )
+        _wait_for(lambda: engine.stats()["queue_depth"] == 5)
+        pool.stop(drain=False)
+        for caller in callers:
+            caller.join(1.0)
+        assert len(outcomes) == 5
+        for response in outcomes:
             assert not response.ok
             assert response.error.startswith("stopped")
-        stats = engine.stats()
-        assert stats["rejected"] == 5
-        assert stats["reconciles"]
+        # no compute, but each is a response: completed, and an error
+        stats = pool.stats()
+        assert stats["completed"] == stats["errors"] == 5
+        _assert_books_match(stats, outcomes)
+
+    def test_no_drain_stop_mid_compute_books_what_callers_saw(
+        self, serve_context
+    ):
+        """One request computing, four queued, then ``stop(drain=False)``:
+        one answer and four ``stopped`` replies, all booked completed."""
+        engine = InferenceEngine(
+            {TASK_VERIFY: FixedServiceVerifier(0.2)},
+            EngineConfig(workers=1, max_batch_size=1, cache_size=0),
+        )
+        pool = ReplicaPool.hosting(engine).start()
+        callers, outcomes = _callers(
+            pool, TASK_VERIFY, [f"claim {i}" for i in range(5)],
+            serve_context,
+        )
+        _wait_for(lambda: engine.stats()["in_flight"] == 5)
+        pool.stop(drain=False)
+        for caller in callers:
+            caller.join(10)
+        assert len(outcomes) == 5
+        assert sum(response.ok for response in outcomes) == 1
+        stats = pool.stats()
+        assert (stats["completed"], stats["rejected"], stats["errors"]) == (
+            5, 0, 4,
+        )
+        _assert_books_match(stats, outcomes)
 
     def test_reconciles_under_concurrent_load(
         self, tiny_qa_model, tiny_verifier, serve_context
     ):
-        telemetry = Telemetry()
         engine = InferenceEngine(
             {TASK_QA: tiny_qa_model, TASK_VERIFY: tiny_verifier},
-            EngineConfig(workers=2, queue_limit=8, cache_size=0),
-            telemetry,
+            EngineConfig(workers=2, queue_limit=2, cache_size=0),
         )
-        engine.start()
-        outcomes = {"completed": 0, "rejected": 0}
+        pool = ReplicaPool.hosting(engine).start()
+        outcomes = []
         lock = threading.Lock()
 
         def client(offset: int) -> None:
@@ -254,12 +370,11 @@ class TestLifecycle:
                     if task == TASK_QA else f"claim {offset} {i}"
                 )
                 try:
-                    engine.infer(task, sentence, serve_context)
-                    key = "completed"
-                except OverloadedError:
-                    key = "rejected"
+                    outcome = pool.infer(task, sentence, serve_context)
+                except OverloadedError as error:
+                    outcome = error
                 with lock:
-                    outcomes[key] += 1
+                    outcomes.append(outcome)
 
         threads = [
             threading.Thread(target=client, args=(k,)) for k in range(4)
@@ -268,17 +383,10 @@ class TestLifecycle:
             thread.start()
         for thread in threads:
             thread.join()
-        engine.stop(drain=True)
-        stats = engine.stats()
-        assert stats["accepted"] == 100
-        assert stats["completed"] == outcomes["completed"]
-        assert stats["rejected"] == outcomes["rejected"]
-        assert stats["in_flight"] == 0
-        assert stats["reconciles"]
-        # telemetry mirrors the engine counters
-        counters = telemetry.snapshot()["counters"]["serve"]
-        assert counters["accepted"] == 100
-        assert counters["completed"] == stats["completed"]
+        pool.stop(drain=True)
+        assert len(outcomes) == 100
+        _assert_books_match(pool.stats(), outcomes)
+        assert engine.stats()["in_flight"] == 0
 
 
 class _ConstVerifier:
@@ -328,12 +436,13 @@ class TestPercentiles:
     def test_engine_stats_use_nearest_rank(
         self, tiny_verifier, serve_context
     ):
-        with InferenceEngine(
+        engine = InferenceEngine(
             {TASK_VERIFY: tiny_verifier}, EngineConfig(workers=1)
-        ) as engine:
+        )
+        with ReplicaPool.hosting(engine) as pool:
             for i in range(4):
-                engine.infer(TASK_VERIFY, f"claim number {i}", serve_context)
-            latency = engine.stats()["latency"][TASK_VERIFY]
+                pool.infer(TASK_VERIFY, f"claim number {i}", serve_context)
+            latency = pool.stats()["latency"][TASK_VERIFY]
         assert latency["count"] == 4
         # p50 of 4 samples is the 2nd order statistic — strictly below
         # the max unless all samples tie.
@@ -362,7 +471,8 @@ class TestReload:
             assert stats["reloads"] == 1
             assert stats["reconciles"]
         # the replaced engine was drained and stopped
-        assert engine.stats()["draining"]
+        with pytest.raises(EngineStoppedError):
+            engine.infer(TASK_VERIFY, "too late", serve_context)
 
     def test_swap_unknown_task_is_typed(self, tiny_qa_model):
         engine = InferenceEngine({TASK_QA: tiny_qa_model})
@@ -489,7 +599,9 @@ class TestDeadlines:
         assert stats["rejected"] == 1
         assert stats["reconciles"]
         # rejected before dispatch: the engine never saw it
-        assert engine.stats()["accepted"] == 0
+        engine_stats = engine.stats()
+        assert engine_stats["cache_misses"] == 0
+        assert engine_stats["batched_requests"] == 0
 
     def test_budget_below_p50_compute_is_rejected(
         self, engine, serve_context
@@ -512,12 +624,15 @@ class TestDeadlines:
         assert caught.value.estimate_s > 1e-9
 
     def test_generous_deadline_is_admitted(self, engine, serve_context):
-        response = engine.infer(
+        pool = ReplicaPool.hosting(engine)
+        response = pool.infer(
             TASK_QA, "what is the points of bo chen ?", serve_context,
             deadline_s=60.0,
         )
         assert response.ok
-        assert engine.stats()["rejected"] == 0
+        stats = pool.stats()
+        assert stats["rejected"] == stats["deadline_rejected"] == 0
+        _assert_books_match(stats, [response])
 
     def test_cache_hit_ignores_deadline(self, engine, serve_context):
         sentence = "what is the rebounds of mike jones ?"

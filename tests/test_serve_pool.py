@@ -73,13 +73,16 @@ class TestServing:
         assert stats["in_flight"] == 0
         assert stats["reconciles"]
         assert len(stats["replicas"]) == 2
-        # pool accounting equals the sum over replica engines
+        # every request was computed once, on one replica's engine
         per_replica = sum(
-            entry["engine"]["completed"]
+            entry["engine"]["batched_requests"]
             for entry in stats["replicas"]
-            if "engine" in entry
         )
         assert per_replica == 6
+        assert stats["batches"]["requests"] == 6
+        assert all(
+            entry["engine"]["in_flight"] == 0 for entry in stats["replicas"]
+        )
         assert stats["models"] == {
             TASK_QA: "qa-stub@v0001", TASK_VERIFY: "verify-stub@v0001",
         }
@@ -244,7 +247,7 @@ class TestReplicaDeath:
             os.kill(victim, signal.SIGKILL)
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline:
-                stats = pool.stats()  # stats() triggers ensure_live()
+                stats = pool.stats()
                 alive = [e for e in stats["replicas"] if e["alive"]]
                 if stats["replica_restarts"] >= 1 and len(alive) == 2:
                     break
@@ -259,6 +262,41 @@ class TestReplicaDeath:
                 assert response.ok
             pids = {e["pid"] for e in pool.stats()["replicas"]}
             assert victim not in pids
+        finally:
+            pool.stop(drain=True)
+
+    def test_respawn_needs_no_metrics_scrape(self, stub_registry):
+        """The dead replica's reader thread respawns it, retrying a
+        failed spawn; nothing calls ``stats()`` (a pure read)."""
+        pool = pool_from_registry(
+            str(stub_registry),
+            config=PoolConfig(replicas=2, engine=EngineConfig(workers=1)),
+        )
+        pool.start()
+        new_slot, spawns = pool._new_slot, []
+
+        def first_spawn_fails(slot, source):
+            spawns.append(slot)
+            if len(spawns) == 1:
+                raise ServeError("injected spawn failure")
+            return new_slot(slot, source)
+
+        pool._new_slot = first_spawn_fails
+        try:
+            victim = pool._slots[0].pid
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not (
+                pool.replica_restarts == 1
+                and pool.health()["status"] == "ok"
+            ):
+                if time.monotonic() > deadline:
+                    pytest.fail(
+                        f"no respawn without stats(): {pool.health()}"
+                    )
+                time.sleep(0.1)
+            assert pool._slots[0].pid != victim
+            assert spawns == [0, 0]
         finally:
             pool.stop(drain=True)
 

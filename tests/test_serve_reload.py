@@ -1,9 +1,10 @@
 """Reload-under-load: a real ``repro serve`` process, sustained HTTP
 traffic, and a zero-downtime reload in the middle.
 
-The contract under test (the tentpole's acceptance criterion): while a
-rolling reload replaces every replica, a client hammering the server
-sees **zero failed (non-429) requests**, responses flip atomically
+One scenario, run over both transports (the in-process slot and two
+replica processes).  The contract under test: while a rolling reload
+replaces every replica, a client hammering the server sees **zero
+failed (non-429) requests**, responses flip atomically
 from the old ``model`` id to the new one (no third value, no
 interleaved garbage), and ``/metrics`` still reconciles afterwards.
 """
@@ -139,14 +140,14 @@ def _reload_under_load(registry_dir, serve_context, *serve_args):
 
 
 class TestReloadUnderLoad:
-    def test_replica_pool_reload_drops_nothing(
-        self, stub_registry, serve_context
+    @pytest.mark.parametrize("serve_args", [
+        pytest.param(("--replicas", "2", "--workers", "1"), id="replicas"),
+        pytest.param((), id="in_process"),
+    ])
+    def test_reload_drops_nothing(
+        self, stub_registry, serve_context, serve_args
     ):
         transitions = _reload_under_load(
-            stub_registry, serve_context, "--replicas", "2", "--workers", "1"
+            stub_registry, serve_context, *serve_args
         )
         assert len(transitions) >= 20  # the load was actually sustained
-
-    def test_engine_reload_drops_nothing(self, stub_registry, serve_context):
-        transitions = _reload_under_load(stub_registry, serve_context)
-        assert len(transitions) >= 20
