@@ -6,11 +6,8 @@ differ only in batching policy:
 
 * **serial**  — ``max_batch_size=1``: every request is its own model
   call (the classic one-request-per-dispatch server).
-* **batched** — ``max_batch_size=32`` with no linger: the worker
-  greedily drains everything queued into one model call.  (A linger
-  only helps open-loop arrivals; closed-loop clients resubmit the
-  moment a batch completes, so batches form without waiting and any
-  linger is pure idle time.)
+* **batched** — ``max_batch_size=32``: the worker greedily drains
+  everything queued into one model call.
 
 Both run one worker and no response cache, so the measured difference
 is batch amortization alone.  The verifier is sized for serving
@@ -140,7 +137,6 @@ def _measure(
             EngineConfig(
                 workers=1,
                 max_batch_size=max_batch_size,
-                max_wait_s=0.0,   # greedy flush; see module docstring
                 queue_limit=4096,
                 cache_size=0,     # no cache: measure compute, not memoization
             ),

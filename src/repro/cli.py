@@ -519,7 +519,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine_config = EngineConfig(
         workers=args.workers,
         max_batch_size=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1e3,
         queue_limit=args.queue_limit,
         cache_size=args.cache_size,
         default_deadline_s=(
@@ -873,11 +872,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=2)
     serve.add_argument(
         "--max-batch", type=int, default=16,
-        help="micro-batch size cap (default 16)",
-    )
-    serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="batching linger in milliseconds (default 2.0)",
+        help="micro-batch size cap: an idle worker takes up to this "
+             "many queued requests at once and never waits for more "
+             "(default 16)",
     )
     serve.add_argument(
         "--queue-limit", type=int, default=256,

@@ -7,15 +7,17 @@ Request lifecycle::
         │            └─ full ─► OverloadedError (typed 429, retry-after hint)
         └─ cache hit ─────────────────────────────► response (no queue, no work)
 
-A bounded per-task queue feeds a pool of worker threads.  Each worker
-coalesces queued requests of one task into a micro-batch — up to
-``max_batch_size`` requests, lingering at most ``max_wait_s`` after the
-oldest request arrived — and runs the whole batch through the model in
-one call (``predict_batch`` for QA, list-based ``predict`` for the
-verifier).  Every worker owns an independent unpickled *replica* of each
-model, so inference never takes a lock.  Models keep no per-request
-state: the evidence view a request's context needs is memoized on the
-context itself and is freed with it once the response is out.
+A bounded per-task queue feeds a pool of worker threads.  Batching is
+work-conserving: an idle worker takes the task whose queue head has
+waited longest, pops up to ``max_batch_size`` requests that are already
+queued there, and runs them through the model at once
+(``predict_batch`` for QA, list-based ``predict`` for the verifier).  No
+worker waits for company, so a lone request is never held; batches form
+on their own when requests queue behind busy workers.  Every worker
+owns an independent unpickled *replica* of each model, so inference
+never takes a lock.  Models keep no per-request state: the evidence
+view a request's context needs is memoized on the context itself and
+is freed with it once the response is out.
 
 An engine serves a fixed set of models for its whole life.  It is what
 a :class:`~repro.serve.pool.ReplicaPool` slot runs — inside a replica
@@ -75,11 +77,6 @@ class EngineConfig:
 
     workers: int = 2
     max_batch_size: int = 16
-    #: micro-batch linger: how long a batch may wait for company after
-    #: its oldest request arrived.  Microseconds matter here — the
-    #: default trades 2ms of worst-case added latency for batch
-    #: amortization.
-    max_wait_s: float = 0.002
     #: admission bound across both task queues; submissions beyond it
     #: are rejected with :class:`OverloadedError`.
     queue_limit: int = 256
@@ -95,8 +92,6 @@ class EngineConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if self.max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -196,9 +191,6 @@ class PendingResponse:
         self._event.set()
         if self._on_done is not None:
             self._on_done(response)
-
-    def done(self) -> bool:
-        return self._event.is_set()
 
     def result(self, timeout: float | None = None) -> InferenceResponse:
         if not self._event.wait(timeout):
@@ -491,10 +483,7 @@ class InferenceEngine:
             if hit is None:
                 self._queues[request.task].append(pending)
                 self._queued += 1
-                # notify_all: a single notify could wake only a worker
-                # that is lingering on the *other* task's micro-batch,
-                # leaving this request to an idle worker's poll interval.
-                self._cond.notify_all()
+                self._cond.notify()
         if hit is not None:
             pending._complete(replace(
                 hit, id=request.id, cached=True,
@@ -567,12 +556,12 @@ class InferenceEngine:
         return best
 
     def _take_batch(self) -> tuple[str, list[PendingResponse]] | None:
-        """Block until a micro-batch is ready; ``None`` means shut down.
+        """Block until a request is queued; ``None`` means shut down.
 
-        Coalescing policy: take the oldest queued request, then keep
-        the batch open until it is full (``max_batch_size``) or
-        ``max_wait_s`` has passed since that request arrived.  While
-        draining, the linger is skipped — shutdown flushes immediately.
+        Work-conserving: take the task whose queue head has waited
+        longest and pop up to ``max_batch_size`` of its requests that
+        are already queued — never wait for more to arrive.  A batch
+        larger than one is whatever queued behind busy workers.
         """
         with self._cond:
             while True:
@@ -583,21 +572,8 @@ class InferenceEngine:
                     return None
                 self._cond.wait(0.1)
             task_queue = self._queues[task]
-            batch = [task_queue.popleft()]
-            flush_at = batch[0].enqueued_at + self.config.max_wait_s
-            while len(batch) < self.config.max_batch_size:
-                if task_queue:
-                    batch.append(task_queue.popleft())
-                    continue
-                remaining = flush_at - time.monotonic()
-                if remaining <= 0 or self._stopping:
-                    break
-                self._cond.wait(remaining)
-                if not task_queue:
-                    # woke for another task's request or the timeout;
-                    # re-check the clock, not the queue, for loop exit.
-                    if time.monotonic() >= flush_at or self._stopping:
-                        break
+            size = min(len(task_queue), self.config.max_batch_size)
+            batch = [task_queue.popleft() for _ in range(size)]
             self._queued -= len(batch)
             self._computing += len(batch)
             self._batches += 1

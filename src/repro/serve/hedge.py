@@ -8,15 +8,15 @@ answer), the duplicate is semantically free — the only costs are the
 extra compute and the accounting, both of which the pool tracks
 exactly (``hedges_fired`` / ``hedges_won``).
 
-The delay is adaptive: the p95 of the routed replica's recent latency
-window, clamped to ``[floor_s, ceiling_s]``.  The floor keeps a cold
-or lightly-loaded pool from hedging everything (p95 of a tiny window
-is noisy); the ceiling bounds how long a hung replica can hold a
-request hostage before the hedge fires.  Cache-affinity routing stays
-primary — hedges only fire on the slow path, so the happy path never
-cools sibling caches.
+The delay is adaptive: the :data:`QUANTILE` (p95) of the routed
+replica's recent latency window, clamped to ``[floor_s, ceiling_s]``.
+The floor keeps a cold or lightly-loaded pool from hedging everything
+(p95 of a tiny window is noisy); the ceiling bounds how long a hung
+replica can hold a request hostage before the hedge fires.
+Cache-affinity routing stays primary — hedges only fire on the slow
+path, so the happy path never cools sibling caches.
 
-Hedge-added load is **budgeted**: at most ``burst + rate × accepted``
+Hedge-added load is **budgeted**: at most ``BURST + RATE × accepted``
 timer hedges may have fired over the pool's lifetime.  Under sustained
 overload every request crosses the p95 delay — unbounded hedging would
 duplicate a saturated pool's entire workload and *reduce* goodput,
@@ -35,6 +35,18 @@ from typing import Iterable
 
 from repro.serve.stats import nearest_rank
 
+#: the latency quantile the hedge delay tracks.
+QUANTILE = 0.95
+
+#: timer hedges allowed regardless of traffic — sized for the burst of
+#: concurrent in-flight requests a freshly-hung replica strands before
+#: its breaker trips.
+BURST = 8
+
+#: additional timer hedges per accepted request (steady-state hedge-load
+#: bound: 2%).
+RATE = 0.02
+
 
 @dataclass(frozen=True)
 class HedgePolicy:
@@ -45,15 +57,6 @@ class HedgePolicy:
     floor_s: float = 0.05
     #: always hedge by this many seconds, however slow it usually is.
     ceiling_s: float = 2.0
-    #: the latency quantile the delay tracks.
-    quantile: float = 0.95
-    #: timer hedges allowed regardless of traffic — sized for the
-    #: burst of concurrent in-flight requests a freshly-hung replica
-    #: strands before its breaker trips.
-    burst: int = 8
-    #: additional timer hedges per accepted request (steady-state
-    #: hedge-load bound: 2%).
-    rate: float = 0.02
 
     def __post_init__(self) -> None:
         if self.floor_s < 0:
@@ -62,14 +65,10 @@ class HedgePolicy:
             raise ValueError(
                 f"ceiling_s {self.ceiling_s} < floor_s {self.floor_s}"
             )
-        if self.burst < 0:
-            raise ValueError(f"burst must be >= 0, got {self.burst}")
-        if self.rate < 0:
-            raise ValueError(f"rate must be >= 0, got {self.rate}")
 
     def budget(self, accepted: int) -> float:
         """Max timer hedges that may have fired after ``accepted`` requests."""
-        return self.burst + self.rate * accepted
+        return BURST + RATE * accepted
 
     def delay_s(self, window: Iterable[float]) -> float:
         """The hedge delay for a replica with this latency history.
@@ -78,7 +77,7 @@ class HedgePolicy:
         window (cold replica) yields the ceiling — when we know
         nothing, hedge late rather than stampede.
         """
-        observed = nearest_rank(window, self.quantile)
+        observed = nearest_rank(window, QUANTILE)
         if observed <= 0.0:
             return self.ceiling_s
         return min(self.ceiling_s, max(self.floor_s, observed))

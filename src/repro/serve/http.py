@@ -501,8 +501,8 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         return self.server.backend  # type: ignore[attr-defined]
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if getattr(self.server, "verbose", False):  # pragma: no cover
-            super().log_message(format, *args)
+        # Silences the stdlib's per-request access log on stderr.
+        pass
 
     # -- plumbing -----------------------------------------------------------
     def _send_json(
@@ -737,7 +737,6 @@ class ServeHTTPServer(ThreadingHTTPServer):
     ):
         super().__init__(address, ServeRequestHandler)
         self.backend = backend
-        self.verbose = False
         #: zero-arg callable performing a model reload and returning a
         #: JSON-compatible summary; ``None`` disables /v1/admin/reload.
         self.reloader = reloader
@@ -800,9 +799,7 @@ class _BaseClient:
         """
         if self.retry is None:
             return fn(1)
-        import time as _time
-
-        started = _time.monotonic()
+        started = time.monotonic()
         attempt = 0
         while True:
             attempt += 1
@@ -814,12 +811,12 @@ class _BaseClient:
                 pause = max(self.retry.delay(attempt), error.retry_after)
                 if self.retry.deadline is not None:
                     remaining = self.retry.deadline - (
-                        _time.monotonic() - started
+                        time.monotonic() - started
                     )
                     if remaining <= 0 or pause >= remaining:
                         raise
                 if pause > 0:
-                    _time.sleep(pause)
+                    time.sleep(pause)
 
     # subclasses implement _request(task, …)
     def qa(

@@ -1,11 +1,13 @@
 """Tests for the micro-batching inference engine."""
 
+import statistics
 import threading
 import time
 
 import pytest
 
 from repro.errors import EngineStoppedError, OverloadedError, ServeError
+from repro.sampling.labeler import ClaimLabel
 from repro.serve import (
     EngineConfig,
     InferenceEngine,
@@ -71,6 +73,32 @@ class _ExplodingVerifier:
 
     def predict(self, samples):
         raise RuntimeError("boom")
+
+
+#: live state of each :class:`_GatedVerifier`, by key: events do not
+#: pickle, and every engine worker runs an unpickled replica.
+_GATES: dict[str, dict] = {}
+
+
+class _GatedVerifier:
+    """Picklable verifier that records each batch's request ids and
+    blocks its first batch until the test releases the gate."""
+
+    def __init__(self, key):
+        self.key = key
+        _GATES[key] = {
+            "entered": threading.Event(),
+            "release": threading.Event(),
+            "batches": [],
+        }
+
+    def predict(self, samples):
+        gate = _GATES[self.key]
+        gate["batches"].append([sample.uid for sample in samples])
+        if len(gate["batches"]) == 1:
+            gate["entered"].set()
+            assert gate["release"].wait(10.0), "gate never released"
+        return [ClaimLabel.SUPPORTED for _ in samples]
 
 
 @pytest.fixture
@@ -140,6 +168,61 @@ class TestBatching:
         assert stats["batches"] == 1
         assert stats["batched_requests"] == 6
         assert stats["in_flight"] == 0
+
+    def test_lone_request_is_never_held(self, tiny_verifier, serve_context):
+        """An idle worker runs a lone request at once: no linger."""
+        engine = InferenceEngine(
+            {TASK_VERIFY: tiny_verifier},
+            EngineConfig(workers=1, cache_size=0),
+        )
+        with engine:
+            queued = [
+                engine.infer(
+                    TASK_VERIFY, f"lone claim {i}", serve_context
+                ).timing.queue_s
+                for i in range(20)
+            ]
+        assert statistics.median(queued) < 1e-3, queued
+
+    def test_batches_form_behind_a_busy_worker(self, serve_context):
+        """Requests queued while the worker computes run as full batches,
+        in arrival order."""
+        engine = InferenceEngine(
+            {TASK_VERIFY: _GatedVerifier("busy-worker")},
+            EngineConfig(workers=1, max_batch_size=4, cache_size=0),
+        )
+        gate = _GATES["busy-worker"]
+
+        def submit(i):
+            return engine.submit(InferenceRequest(
+                id=f"g{i}", task=TASK_VERIFY, sentence=f"claim {i}",
+                context=serve_context,
+            ))
+
+        try:
+            with engine:
+                pendings = [submit(0)]
+                assert gate["entered"].wait(10.0)
+                pendings += [submit(i) for i in range(1, 11)]
+                assert engine.stats()["queue_depth"] == 10
+                gate["release"].set()
+                responses = [p.result(10.0) for p in pendings]
+        finally:
+            gate["release"].set()
+            _GATES.pop("busy-worker")
+        assert all(r.ok for r in responses)
+        assert gate["batches"] == [
+            ["g0"],
+            ["g1", "g2", "g3", "g4"],
+            ["g5", "g6", "g7", "g8"],
+            ["g9", "g10"],
+        ]
+        sizes = [r.timing.batch_size for r in responses]
+        assert sizes == [1] + [4] * 8 + [2] * 2
+        stats = engine.stats()
+        assert stats["batches"] == 4
+        assert stats["batched_requests"] == 11
+        assert stats["max_batch"] == 4
 
     def test_batch_failure_fails_each_request(self, serve_context):
         engine = InferenceEngine(
