@@ -29,8 +29,8 @@ Package layout:
   and the :class:`UCTR` facade.
 * :mod:`repro.telemetry` — generation counters, timers, and JSON
   run-reports.
-* :mod:`repro.parallel` — seed-stable multiprocess generation executor
-  behind ``UCTR.generate(workers=...)``.
+* :mod:`repro.parallel` — the seed-stable context driver behind every
+  ``UCTR.generate`` run, in-process or on a worker pool.
 * :mod:`repro.datasets` — synthetic benchmark stand-ins.
 * :mod:`repro.models` — downstream verifiers and QA models.
 * :mod:`repro.train` / :mod:`repro.eval` — training plans and metrics.

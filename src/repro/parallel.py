@@ -1,16 +1,20 @@
-"""Fault-tolerant, seed-stable multiprocessing executor.
+"""The context driver: fault-tolerant, seed-stable, serial or pooled.
 
 Generation is embarrassingly parallel across contexts *because* of the
 determinism contract in :mod:`repro.pipelines.uctr`: context ``i`` draws
 only from its own named RNG stream, so any scheduling of contexts onto
-processes yields the same samples.  This module supplies the scheduling
-— and keeps the run alive when pieces of it die:
+processes yields the same samples.  :func:`generate_parallel` is the
+one place contexts run — :meth:`UCTR.generate` calls it for every run,
+``workers=1`` included — and it keeps the run alive when pieces of it
+die:
 
 1. contexts are sharded into contiguous index chunks (several per
    worker, so a slow context does not idle the rest of the pool);
 2. the fitted :class:`~repro.pipelines.uctr.GenerationState` is pickled
    **once** in the parent and unpickled **once per worker** by the pool
-   initializer — spawn-safe, no reliance on fork-inherited globals;
+   initializer — spawn-safe, no reliance on fork-inherited globals —
+   which also makes the worker exit if its parent dies
+   (:func:`exit_with_parent`);
 3. each worker runs every assigned context through
    :func:`repro.runtime.quarantine.run_context`: a context whose
    execution raises (after the retry policy is spent) is *quarantined*
@@ -30,29 +34,32 @@ processes yields the same samples.  This module supplies the scheduling
    with reason ``timeout``;
 6. the parent places results back by context index and folds worker
    telemetry (counters *and* quarantine events) into the caller's sink,
-   reporting each completed context through ``on_result`` so a
-   checkpoint manager can persist progress as it happens.
+   reporting every context that ran — quarantined ones included —
+   through ``on_outcome`` so a checkpoint manager can persist progress
+   as it happens;
+7. one in-process finisher fills every index still missing, in context
+   order, with the same quarantine semantics: all of them when
+   ``workers <= 1`` or at most one context is left (no pool is built),
+   otherwise whatever a spent round budget left behind.
 
-When ``workers <= 1``, there is at most one runnable context, or the
-platform offers no usable ``multiprocessing`` start method, the executor
-degrades to the in-process serial path — same per-context code, same
-output, same quarantine semantics, no pool.
+``multiprocessing`` and ``concurrent.futures`` are imported only when a
+pool is built, so a serial run never loads them.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
+import os
 import pickle
+import threading
 import time
 from collections import deque
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.pipelines.samples import ReasoningSample
 from repro.pipelines.uctr import GenerationState
 from repro.runtime.quarantine import (
+    ContextOutcome,
     QuarantineRecord,
     record_quarantine,
     run_context,
@@ -61,30 +68,53 @@ from repro.runtime.retry import RetryPolicy
 from repro.tables.context import TableContext
 from repro.telemetry import Telemetry
 
+if TYPE_CHECKING:  # pragma: no cover - imported lazily at run time
+    from concurrent.futures import ProcessPoolExecutor
+
 #: chunks handed out per worker; >1 smooths uneven per-context cost.
 CHUNKS_PER_WORKER = 4
+
+#: how often a pool worker checks that its parent is still alive.
+PARENT_POLL_S = 0.25
 
 #: worker-side engine state, set once by :func:`_init_worker`.
 _WORKER_STATE: GenerationState | None = None
 _WORKER_POLICY: RetryPolicy | None = None
 
-#: a completed-context callback: ``on_result(index, samples)``.
-ResultCallback = Callable[[int, list[ReasoningSample]], None]
+#: a per-context callback, fired once for every context that runs.
+OutcomeCallback = Callable[[ContextOutcome], None]
 
 
-def pick_start_method() -> str | None:
-    """The preferred ``multiprocessing`` start method, or ``None``.
+def pick_start_method() -> str:
+    """The preferred ``multiprocessing`` start method.
 
-    ``fork`` is cheapest where available (POSIX); ``spawn`` works
-    everywhere the state pickles — which :class:`GenerationState`
-    guarantees.  ``None`` means the platform supports neither and the
-    caller must run serially.
+    ``fork`` is cheapest where available (POSIX); ``spawn`` — which
+    every CPython offers — works everywhere the state pickles, which
+    :class:`GenerationState` guarantees.
     """
-    methods = multiprocessing.get_all_start_methods()
-    for preferred in ("fork", "spawn"):
-        if preferred in methods:
-            return preferred
-    return None
+    import multiprocessing
+
+    if "fork" in multiprocessing.get_all_start_methods():
+        return "fork"
+    return "spawn"
+
+
+def exit_with_parent(parent_pid: int) -> None:
+    """Pool initializer: end this worker once ``parent_pid`` is gone.
+
+    A parent killed with SIGKILL never shuts its pool down; its workers,
+    reparented, would sleep on their call queue forever.  A daemon
+    thread polls the parent pid and calls ``os._exit`` once it changes.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(
+        target=watch, name="exit-with-parent", daemon=True
+    ).start()
 
 
 def shard_indices(count: int, workers: int) -> list[list[int]]:
@@ -115,60 +145,73 @@ class _Chunk:
     attempts: int = 0
 
 
-def _init_worker(state_blob: bytes, policy: RetryPolicy) -> None:
+def _init_worker(
+    state_blob: bytes, policy: RetryPolicy, parent_pid: int
+) -> None:
     """Pool initializer: unpickle the engine state once per worker."""
     global _WORKER_STATE, _WORKER_POLICY
+    exit_with_parent(parent_pid)
     _WORKER_STATE = pickle.loads(state_blob)
     _WORKER_POLICY = policy
 
 
 def _run_chunk(
     chunk: list[tuple[int, TableContext]],
-) -> tuple[list[tuple[int, list[ReasoningSample], bool]], dict]:
+) -> tuple[list[ContextOutcome], dict]:
     """Execute one chunk in a worker; quarantine failures per context.
 
-    Returns ``(index, samples, ok)`` triples — ``ok`` is False for a
-    quarantined context (its structured record rides in the telemetry
-    snapshot's events) — plus the chunk's telemetry snapshot.
+    Returns one outcome per context — a quarantined one carries its
+    record, which also rides in the telemetry snapshot's events — plus
+    the chunk's telemetry snapshot.
     """
     assert _WORKER_STATE is not None, "worker initialized without state"
     telemetry = Telemetry()
-    results = []
-    for index, context in chunk:
-        outcome = run_context(
+    outcomes = [
+        run_context(
             _WORKER_STATE, index, context, telemetry, _WORKER_POLICY,
             stage="worker",
         )
-        results.append((index, outcome.samples, outcome.ok))
-    return results, telemetry.snapshot()
+        for index, context in chunk
+    ]
+    return outcomes, telemetry.snapshot()
 
 
-def _generate_serial(
+def _run_here(
     state: GenerationState,
     contexts: Sequence[TableContext],
+    results: list[list[ReasoningSample] | None],
     telemetry: Telemetry,
+    policy: RetryPolicy,
+    on_outcome: OutcomeCallback | None,
     *,
-    policy: RetryPolicy | None = None,
-    on_result: ResultCallback | None = None,
-    skip: Iterable[int] = (),
-) -> list[list[ReasoningSample]]:
-    """The in-process path: same quarantine semantics, no pool."""
-    skip_set = set(skip)
-    results: list[list[ReasoningSample]] = []
-    for index, context in enumerate(contexts):
-        if index in skip_set:
-            results.append([])
-            continue
-        outcome = run_context(
-            state, index, context, telemetry, policy, stage="serial"
-        )
-        results.append(outcome.samples)
-        if outcome.ok and on_result is not None:
-            on_result(index, outcome.samples)
-    return results
+    stage: str,
+    budget: int | None,
+) -> None:
+    """Fill every missing index in context order, in this process.
+
+    Stops once the contexts before the next missing one hold ``budget``
+    samples: nothing that context could produce survives the caller's
+    truncation.  Leftovers of a pool run (``stage="parent"``) are
+    counted once each under ``retries:leftover/in_process``.
+    """
+    produced = 0
+    for index, value in enumerate(results):
+        if value is None:
+            if budget is not None and produced >= budget:
+                return
+            if stage == "parent":
+                telemetry.increment("retries", "leftover/in_process")
+            outcome = run_context(
+                state, index, contexts[index], telemetry, policy,
+                stage=stage,
+            )
+            value = results[index] = outcome.samples
+            if on_outcome is not None:
+                on_outcome(outcome)
+        produced += len(value)
 
 
-def _kill_workers(executor: concurrent.futures.ProcessPoolExecutor) -> None:
+def _kill_workers(executor: ProcessPoolExecutor) -> None:
     """Forcibly terminate a pool whose workers may be stuck or poisoned."""
     for process in list(getattr(executor, "_processes", {}).values()):
         if process.is_alive():
@@ -177,20 +220,20 @@ def _kill_workers(executor: concurrent.futures.ProcessPoolExecutor) -> None:
 
 
 def _merge_chunk(
-    chunk_results: list[tuple[int, list[ReasoningSample], bool]],
+    outcomes: list[ContextOutcome],
     snapshot: dict,
     results: list[list[ReasoningSample] | None],
     telemetry: Telemetry,
-    on_result: ResultCallback | None,
+    on_outcome: OutcomeCallback | None,
 ) -> None:
     """Fold one completed chunk into the parent's results + telemetry."""
     telemetry.merge(snapshot)
-    for index, samples, ok in chunk_results:
-        if results[index] is not None:
+    for outcome in outcomes:
+        if results[outcome.index] is not None:
             continue
-        results[index] = samples
-        if ok and on_result is not None:
-            on_result(index, samples)
+        results[outcome.index] = outcome.samples
+        if on_outcome is not None:
+            on_outcome(outcome)
 
 
 def _run_round(
@@ -202,7 +245,7 @@ def _run_round(
     contexts: Sequence[TableContext],
     results: list[list[ReasoningSample] | None],
     telemetry: Telemetry,
-    on_result: ResultCallback | None,
+    on_outcome: OutcomeCallback | None,
 ) -> list[tuple[_Chunk, str]]:
     """One pool lifetime: submit ``batch``, harvest, report losses.
 
@@ -213,11 +256,14 @@ def _run_round(
     them come back as ``requeue`` — they are not to blame.  A chunk
     whose future failed in a *healthy* pool is ``chunk_error:<type>``.
     """
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
     executor = concurrent.futures.ProcessPoolExecutor(
         max_workers=min(workers, len(batch)),
         mp_context=mp_context,
         initializer=_init_worker,
-        initargs=(state_blob, policy),
+        initargs=(state_blob, policy, os.getpid()),
     )
     started = time.monotonic()
     futures = [
@@ -237,7 +283,7 @@ def _run_round(
             deadline = policy.chunk_deadline(len(chunk.indices))
             try:
                 if deadline is None:
-                    chunk_results, snapshot = future.result()
+                    outcomes, snapshot = future.result()
                 else:
                     # chunks queue behind one another; later waves get a
                     # proportionally larger allowance measured from the
@@ -247,9 +293,7 @@ def _run_round(
                     remaining = max(
                         0.0, started + deadline * waves - time.monotonic()
                     )
-                    chunk_results, snapshot = future.result(
-                        timeout=remaining
-                    )
+                    outcomes, snapshot = future.result(timeout=remaining)
             except concurrent.futures.TimeoutError:
                 lost.append((chunk, "timeout"))
                 harvested.add(position)
@@ -272,7 +316,7 @@ def _run_round(
                 continue
             else:
                 _merge_chunk(
-                    chunk_results, snapshot, results, telemetry, on_result
+                    outcomes, snapshot, results, telemetry, on_outcome
                 )
                 harvested.add(position)
         # sweep: futures not harvested above either finished before the
@@ -288,9 +332,9 @@ def _run_round(
                 except concurrent.futures.CancelledError:
                     done_ok = False
             if done_ok:
-                chunk_results, snapshot = future.result()
+                outcomes, snapshot = future.result()
                 _merge_chunk(
-                    chunk_results, snapshot, results, telemetry, on_result
+                    outcomes, snapshot, results, telemetry, on_outcome
                 )
             else:
                 lost.append((chunk, "requeue"))
@@ -308,6 +352,7 @@ def _charge_chunk(
     contexts: Sequence[TableContext],
     results: list[list[ReasoningSample] | None],
     telemetry: Telemetry,
+    on_outcome: OutcomeCallback | None,
 ) -> None:
     """Charge a definitively failed chunk: retry, bisect, or quarantine.
 
@@ -335,92 +380,30 @@ def _charge_chunk(
         )
         record_quarantine(telemetry, record)
         results[index] = []
+        if on_outcome is not None:
+            on_outcome(ContextOutcome(index, [], quarantine=record))
 
 
-def _backfill_missing(
-    state: GenerationState,
+def _run_pool(
+    state_blob: bytes,
     contexts: Sequence[TableContext],
+    todo: list[int],
+    workers: int,
     results: list[list[ReasoningSample] | None],
     telemetry: Telemetry,
-    policy: RetryPolicy | None = None,
-    *,
-    on_result: ResultCallback | None = None,
-) -> list[int]:
-    """Regenerate still-missing contexts in-process, with quarantine.
+    policy: RetryPolicy,
+    on_outcome: OutcomeCallback | None,
+) -> None:
+    """Run ``todo`` on process pools until filled or the round budget ends."""
+    import multiprocessing
 
-    The safety net under the pool driver: any index the rounds failed to
-    fill (a driver bug, the round budget exhausted) is executed in the
-    parent through the same retry/quarantine machinery — counted once
-    under ``retries:backfill/missing_chunk``, never silently and never
-    with unbounded re-execution.
-    """
-    missing = [i for i, value in enumerate(results) if value is None]
-    for index in missing:
-        telemetry.increment("retries", "backfill/missing_chunk")
-        outcome = run_context(
-            state, index, contexts[index], telemetry, policy, stage="parent"
-        )
-        results[index] = outcome.samples
-        if outcome.ok and on_result is not None:
-            on_result(index, outcome.samples)
-    return missing
-
-
-def generate_parallel(
-    state: GenerationState,
-    contexts: Sequence[TableContext],
-    workers: int,
-    telemetry: Telemetry,
-    *,
-    policy: RetryPolicy | None = None,
-    on_result: ResultCallback | None = None,
-    skip: Iterable[int] = (),
-) -> list[list[ReasoningSample]]:
-    """Per-context sample lists, in context order, computed in parallel.
-
-    The caller flattens the returned lists; their concatenation is
-    byte-identical to the serial path for the same ``state`` (a
-    quarantined context contributes an empty list on both paths).
-
-    ``skip`` names context indices already satisfied elsewhere (resumed
-    from a checkpoint); they come back as empty lists for the caller to
-    fill.  ``on_result`` fires in the parent for every *successfully*
-    completed context, in completion order.  Any failure to stand up
-    the pool (no start method, pickling refused, fd exhaustion) falls
-    back to in-process serial generation and records a
-    ``parallel/fallback:*`` drop so the run report shows what happened.
-    """
-    policy = policy or RetryPolicy()
-    count = len(contexts)
-    skip_set = set(skip)
-    todo = [index for index in range(count) if index not in skip_set]
-    workers = max(1, min(workers, len(todo)))
-    method = pick_start_method()
-    if workers <= 1 or len(todo) <= 1 or method is None:
-        if workers > 1 and method is None:
-            telemetry.drop("parallel", "fallback:no_start_method")
-        return _generate_serial(
-            state, contexts, telemetry,
-            policy=policy, on_result=on_result, skip=skip_set,
-        )
-    try:
-        state_blob = pickle.dumps(state)
-    except Exception as error:  # pragma: no cover - exotic overrides only
-        telemetry.drop("parallel", f"fallback:{type(error).__name__}")
-        return _generate_serial(
-            state, contexts, telemetry,
-            policy=policy, on_result=on_result, skip=skip_set,
-        )
-    results: list[list[ReasoningSample] | None] = [None] * count
-    for index in skip_set:
-        results[index] = []
     pending: deque[_Chunk] = deque(
         _Chunk([todo[position] for position in positions])
         for positions in shard_indices(len(todo), workers)
     )
     suspects: deque[_Chunk] = deque()
     initial_chunks = len(pending)
-    mp_context = multiprocessing.get_context(method)
+    mp_context = multiprocessing.get_context(pick_start_method())
     # Round budget.  Every broken batch round permanently moves one chunk
     # to the suspect queue, and every suspect resolves within
     # max_attempts probes per node of its bisection tree (≤ 2·contexts
@@ -441,7 +424,7 @@ def generate_parallel(
             round_workers = 1
         losses = _run_round(
             mp_context, round_workers, state_blob, policy, batch,
-            contexts, results, telemetry, on_result,
+            contexts, results, telemetry, on_outcome,
         )
         probing = len(batch) == 1 and round_workers == 1
         for chunk, reason in losses:
@@ -453,30 +436,67 @@ def generate_parallel(
                 # and a chunk_error came from a healthy pool.
                 _charge_chunk(
                     chunk, reason, suspects, policy, contexts, results,
-                    telemetry,
+                    telemetry, on_outcome,
                 )
             else:
                 # broken batch round: the blocked-on chunk is only a
                 # suspect — isolate it to establish blame.
                 telemetry.increment("retries", f"suspect/{reason}")
                 suspects.append(chunk)
-    for chunk in list(pending) + list(suspects):
-        # round budget spent: finish in-process with full quarantine
-        # semantics rather than dropping work.
-        telemetry.increment("retries", "chunk/rounds_exhausted")
-        for index in chunk.indices:
-            if results[index] is None:
-                outcome = run_context(
-                    state, index, contexts[index], telemetry, policy,
-                    stage="parent",
-                )
-                results[index] = outcome.samples
-                if outcome.ok and on_result is not None:
-                    on_result(index, outcome.samples)
     telemetry.increment("parallel", f"workers/{workers}")
     telemetry.increment("parallel", "chunks", initial_chunks)
     telemetry.increment("parallel", "rounds", rounds)
-    _backfill_missing(
-        state, contexts, results, telemetry, policy, on_result=on_result
+
+
+def generate_parallel(
+    state: GenerationState,
+    contexts: Sequence[TableContext],
+    workers: int,
+    telemetry: Telemetry,
+    *,
+    policy: RetryPolicy | None = None,
+    on_outcome: OutcomeCallback | None = None,
+    done: Mapping[int, list[ReasoningSample]] | None = None,
+    budget: int | None = None,
+) -> list[list[ReasoningSample]]:
+    """Per-context sample lists, in context order.
+
+    The caller flattens the returned lists; their concatenation is
+    byte-identical for any ``workers`` and the same ``state`` (a
+    quarantined context contributes an empty list either way).
+
+    ``done`` maps context indices already satisfied elsewhere (resumed
+    from a checkpoint) to their samples, which come back as given.
+    ``on_outcome`` fires in the parent once for every context that runs,
+    quarantined ones included, in completion order.  ``budget`` lets
+    the in-process finisher stop early: a context is skipped (an empty
+    list) once the contexts before it hold ``budget`` samples, so the
+    first ``budget`` samples of the result never depend on the
+    schedule or on which contexts were resumed.  A state that refuses
+    to pickle runs in-process and records a ``parallel/fallback:*``
+    drop so the run report shows what happened.
+    """
+    policy = policy or RetryPolicy()
+    done = done or {}
+    results: list[list[ReasoningSample] | None] = [
+        done.get(index) for index in range(len(contexts))
+    ]
+    todo = [index for index, value in enumerate(results) if value is None]
+    workers = min(workers, len(todo))
+    stage = "serial"
+    if workers > 1:
+        try:
+            state_blob = pickle.dumps(state)
+        except Exception as error:  # pragma: no cover - exotic overrides only
+            telemetry.drop("parallel", f"fallback:{type(error).__name__}")
+        else:
+            _run_pool(
+                state_blob, contexts, todo, workers, results, telemetry,
+                policy, on_outcome,
+            )
+            stage = "parent"
+    _run_here(
+        state, contexts, results, telemetry, policy, on_outcome,
+        stage=stage, budget=budget,
     )
-    return results  # type: ignore[return-value]
+    return [value if value is not None else [] for value in results]

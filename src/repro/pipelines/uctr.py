@@ -103,9 +103,9 @@ def generate_for_one_context(
 ) -> list[ReasoningSample]:
     """Algorithm 1 on a single context, on its own RNG stream.
 
-    This module-level function is the worker-side entry point of the
-    parallel executor; the serial path in :meth:`UCTR.generate` calls
-    the very same code, which is why the two agree sample-for-sample.
+    This module-level function is what :mod:`repro.parallel` runs for
+    every context, in a worker process or in this one, which is why
+    serial and parallel runs agree sample-for-sample.
     """
     config = state.config
     if config.perturb is not None:
@@ -241,13 +241,15 @@ class UCTR:
     ) -> list[ReasoningSample]:
         """Run Algorithm 1 over every context, fault-tolerantly.
 
-        ``budget`` caps the total number of emitted samples; by default
-        every context contributes ``samples_per_context``.  ``workers``
-        > 1 fans contexts out to worker processes via
-        :mod:`repro.parallel`; the merged output is byte-identical to
-        the serial path for a fixed seed.  Pass a ``telemetry`` sink to
-        accumulate across calls; otherwise a fresh one is created and
-        exposed as :attr:`last_telemetry`.
+        ``budget`` caps the total number of emitted samples — the first
+        ``budget`` in context order; by default every context
+        contributes ``samples_per_context``.  Every run goes through
+        :func:`repro.parallel.generate_parallel`: ``workers`` > 1 fans
+        contexts out to worker processes, ``workers=1`` runs them in
+        this process, and the output is byte-identical either way for a
+        fixed seed.  Pass a ``telemetry`` sink to accumulate across
+        calls; otherwise a fresh one is created and exposed as
+        :attr:`last_telemetry`.
 
         A context whose execution fails — an exception surviving the
         ``retry`` policy, a worker killed under it, a blown deadline —
@@ -264,21 +266,23 @@ class UCTR:
 
         ``checkpoint_dir`` streams every completed context to disk
         (append + fsync, atomically-replaced manifest) so a crashed or
-        killed run loses at most the contexts in flight.
-        ``resume_from`` replays a checkpoint: completed contexts are
-        loaded byte-identically, previously quarantined ones stay
-        quarantined, and only the remainder is generated.  On
+        killed run loses at most the contexts in flight; quarantines are
+        filed as they happen.  ``resume_from`` replays a checkpoint:
+        completed contexts are loaded byte-identically, previously
+        quarantined ones stay quarantined, and only the remainder is
+        generated — with a ``budget``, the same samples a fresh run
+        emits, whichever contexts the checkpoint holds.  On
         ``KeyboardInterrupt`` a final partial checkpoint is written
         before the interrupt propagates.
         """
         from repro.errors import CheckpointError, QuarantinedContextError
+        from repro.parallel import generate_parallel
         from repro.runtime import (
             CheckpointManager,
-            QuarantineRecord,
+            ContextOutcome,
             RetryPolicy,
             load_checkpoint,
             record_quarantine,
-            run_context,
             run_fingerprint,
         )
 
@@ -306,7 +310,7 @@ class UCTR:
         policy = retry if retry is not None else RetryPolicy()
         fingerprint = run_fingerprint(state, contexts)
 
-        results: list[list[ReasoningSample] | None] = [None] * len(contexts)
+        done: dict[int, list[ReasoningSample]] = {}
         loaded = None
         if resume_from is not None:
             loaded = load_checkpoint(resume_from)
@@ -319,13 +323,14 @@ class UCTR:
                 )
             for index, samples in loaded.completed.items():
                 if 0 <= index < len(contexts):
-                    results[index] = samples
+                    done[index] = samples
             for record in loaded.quarantined:
                 record_quarantine(telemetry, record)
                 if 0 <= record.index < len(contexts):
-                    results[record.index] = []
+                    done[record.index] = []
 
         manager = None
+        on_outcome = None
         if checkpoint_dir is not None:
             manager = CheckpointManager(
                 checkpoint_dir,
@@ -343,64 +348,28 @@ class UCTR:
                 for record in loaded.quarantined:
                     manager.quarantine(record)
 
-        def on_result(index: int, samples: list[ReasoningSample]) -> None:
-            if manager is not None:
-                manager.record(index, samples)
-
-        def file_quarantines() -> None:
-            if manager is not None:
-                for payload in telemetry.events("quarantine"):
-                    manager.quarantine(QuarantineRecord.from_json(payload))
+            def on_outcome(outcome: ContextOutcome) -> None:
+                if outcome.ok:
+                    manager.record(outcome.index, outcome.samples)
+                else:
+                    manager.quarantine(outcome.quarantine)
 
         try:
             with telemetry.timer("generate"):
-                done = {
-                    index
-                    for index, value in enumerate(results)
-                    if value is not None
-                }
-                remaining = len(contexts) - len(done)
-                if workers > 1 and remaining > 1:
-                    from repro.parallel import generate_parallel
-
-                    computed = generate_parallel(
-                        state, contexts, workers, telemetry,
-                        policy=policy, on_result=on_result, skip=done,
-                    )
-                    for index, produced in enumerate(computed):
-                        if results[index] is None:
-                            results[index] = produced
-                else:
-                    produced_so_far = sum(
-                        len(value) for value in results if value is not None
-                    )
-                    for index, context in enumerate(contexts):
-                        if results[index] is not None:
-                            continue
-                        if budget is not None and produced_so_far >= budget:
-                            break
-                        outcome = run_context(
-                            state, index, context, telemetry, policy,
-                            stage="serial",
-                        )
-                        results[index] = outcome.samples
-                        produced_so_far += len(outcome.samples)
-                        if outcome.ok:
-                            on_result(index, outcome.samples)
+                results = generate_parallel(
+                    state, contexts, workers, telemetry,
+                    policy=policy, on_outcome=on_outcome, done=done,
+                    budget=budget,
+                )
         except KeyboardInterrupt:
             if manager is not None:
-                file_quarantines()
                 manager.finalize(
                     telemetry=telemetry.snapshot(), partial=True
                 )
             raise
         if manager is not None:
-            file_quarantines()
             manager.finalize(telemetry=telemetry.snapshot(), partial=False)
-        out: list[ReasoningSample] = []
-        for value in results:
-            if value is not None:
-                out.extend(value)
+        out = [sample for produced in results for sample in produced]
         if budget is not None:
             out = out[:budget]
         for sample in out:

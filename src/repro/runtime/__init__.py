@@ -17,8 +17,8 @@ makes them survive the failures such jobs actually hit:
   (raise / kill / slow / interrupt, attempt-aware, one-shot sentinels)
   that lets CI exercise every path above deterministically.
 
-The process-pool driver that uses all of this lives in
-:mod:`repro.parallel`.
+The context driver that uses all of this, in-process or on a process
+pool, lives in :mod:`repro.parallel`.
 """
 
 from repro.runtime.checkpoint import (

@@ -80,8 +80,10 @@ Resilience layer (all per-request, all accounted in ``/metrics``):
   recent latencies, clamped), the request is re-sent to the next
   routable slot and the first reply wins; the loser's reply slot is
   forgotten, so its late answer is dropped on the floor by the reader
-  thread.  Inference is pure, so the duplicate is safe.  ``hedges_fired``
-  and ``hedges_won`` account for every hedge exactly.
+  thread.  Inference is pure, so the duplicate is safe.  A lone leg
+  waiting on a slot whose breaker opens meanwhile is raced at once by a
+  second leg on a slot whose breaker admits traffic (if there is one).
+  ``hedges_fired`` and ``hedges_won`` account for every hedge exactly.
 * **Deadline admission** — a request whose remaining end-to-end budget
   is below the routed slot's recent p50 latency is rejected up front
   with a typed ``deadline`` verdict instead of computed and discarded;
@@ -818,7 +820,10 @@ class ReplicaPool:
         return handle
 
     def _routable_slot(
-        self, primary: int, exclude: frozenset[int] = frozenset()
+        self,
+        primary: int,
+        exclude: frozenset[int] = frozenset(),
+        fail_open: bool = True,
     ) -> tuple[int, _ReplicaHandle]:
         """First routable slot walking clockwise from ``primary``.
 
@@ -830,11 +835,12 @@ class ReplicaPool:
         open at once), the first live slot is used anyway — the pool
         fails *open*, because serving through a suspect replica beats
         a self-inflicted total outage, and one success re-closes its
-        breaker.
+        breaker.  ``fail_open=False`` raises instead, for callers that
+        already hold a leg on a suspect replica.
         """
         with self._route_lock:
             slots = list(self._slots)
-        fail_open: tuple[int, _ReplicaHandle] | None = None
+        suspect: tuple[int, _ReplicaHandle] | None = None
         for offset in range(self.config.replicas):
             slot = (primary + offset) % self.config.replicas
             if slot in exclude:
@@ -845,10 +851,10 @@ class ReplicaPool:
             breaker = self._breakers[slot]
             if breaker is None or breaker.allow():
                 return slot, handle
-            if fail_open is None:
-                fail_open = (slot, handle)
-        if fail_open is not None:
-            return fail_open
+            if suspect is None:
+                suspect = (slot, handle)
+        if suspect is not None and fail_open:
+            return suspect
         raise ServeError(
             f"no routable replica for slot {primary} "
             f"(excluded: {sorted(exclude) or 'none'})"
@@ -1016,15 +1022,20 @@ class ReplicaPool:
             ):
                 breaker.record_failure()
 
-        def start_leg(exclude: frozenset[int], is_primary: bool) -> bool:
+        def start_leg(
+            exclude: frozenset[int], is_primary: bool, fail_open: bool = True
+        ) -> bool:
             """Route + submit one leg; False if no leg went in flight."""
             nonlocal legs_started
             tried = exclude
             for attempt in range(_REROUTE_ATTEMPTS):
                 try:
-                    slot, handle = self._routable_slot(primary, tried)
+                    slot, handle = self._routable_slot(
+                        primary, tried, fail_open
+                    )
                 except ServeError as error:
-                    failures.append(error)
+                    if fail_open:
+                        failures.append(error)
                     return False
                 try:
                     leg_request = self._shrunk(request, started)
@@ -1106,6 +1117,26 @@ class ReplicaPool:
                             if loser_breaker is not None:
                                 loser_breaker.record_failure()
                     return response
+            if hedge is not None and legs_started < 2 and legs:
+                # the lone leg waits on a slot whose breaker is open
+                # (other traffic proved the slot sick): race the unused
+                # second leg, budget-exempt, on a slot whose breaker
+                # admits traffic instead of waiting out the deadline.
+                # With no such slot (a leg placed fail-open, say), keep
+                # waiting on this one.
+                leg = legs[0]
+                breaker = self._breakers[leg["slot"]]
+                if (
+                    breaker is not None
+                    and breaker.state == CircuitBreaker.OPEN
+                    and start_leg(
+                        frozenset(failed_slots | {leg["slot"]}),
+                        is_primary=False, fail_open=False,
+                    )
+                ):
+                    with self._lock:
+                        self.hedges_fired += 1
+                    hedge_at = None
             now = time.monotonic()
             if not legs:
                 # every started leg failed terminally.  With hedging
@@ -1297,9 +1328,10 @@ class ReplicaPool:
         """Per-slot health, the shape ``/healthz`` reports.
 
         ``state`` is one of ``ready`` / ``breaker_open`` / ``reloading``
-        / ``respawning`` / ``draining``; ``routable`` says whether the
-        dispatcher would currently send this slot traffic (breakers
-        half-open count as routable — probes are traffic).
+        / ``respawning`` / ``draining`` / ``stopped`` (the pool stopped
+        it; never respawned); ``routable`` says whether the dispatcher
+        would currently send this slot traffic (breakers half-open count
+        as routable — probes are traffic).
         """
         with self._route_lock:
             slots = list(self._slots)
@@ -1310,7 +1342,8 @@ class ReplicaPool:
             breaker = self._breakers[slot]
             breaker_state = breaker.state if breaker is not None else None
             if handle is None or handle.dead:
-                state, routable = "respawning", False
+                state = "stopped" if self._stopping else "respawning"
+                routable = False
             elif handle.draining:
                 state, routable = "draining", False
             elif breaker_state == CircuitBreaker.OPEN:

@@ -43,9 +43,10 @@ The build is a per-shard map followed by an ordered merge:
    filled in one ``add`` or a hundred.
 
 Workers are OS processes (:class:`~concurrent.futures.ProcessPoolExecutor`
-with the runtime's preferred start method); each shard build runs under
-the runtime's :class:`~repro.runtime.retry.RetryPolicy` so one flaky
-read does not kill an hours-long build.
+with the runtime's preferred start method, each exiting if the building
+process dies); each shard build runs under the runtime's
+:class:`~repro.runtime.retry.RetryPolicy` so one flaky read does not
+kill an hours-long build.
 """
 
 from __future__ import annotations
@@ -306,12 +307,14 @@ def build_index(
         if workers > 1 and len(pending) > 1:
             import multiprocessing
 
-            from repro.parallel import pick_start_method
+            from repro.parallel import exit_with_parent, pick_start_method
 
             context = multiprocessing.get_context(pick_start_method())
             with ProcessPoolExecutor(
                 max_workers=min(workers, len(pending)),
                 mp_context=context,
+                initializer=exit_with_parent,
+                initargs=(os.getpid(),),
             ) as executor:
                 for _ in executor.map(
                     _part_job,

@@ -1,18 +1,27 @@
-"""Serial ≡ parallel determinism and the executor's plumbing."""
+"""Serial ≡ parallel determinism and the context driver's plumbing."""
 
+import inspect
 import json
+import subprocess
+import sys
+import tempfile
+from collections import deque
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.parallel as parallel
 from repro.parallel import (
-    _backfill_missing,
+    _Chunk,
+    _charge_chunk,
     generate_parallel,
     pick_start_method,
     shard_indices,
 )
 from repro.pipelines import UCTR, UCTRConfig
-from repro.runtime import RetryPolicy
+from repro.runtime import CheckpointManager, RetryPolicy, run_fingerprint
+from repro.runtime.faults import FaultPlan, FaultSpec, injected
 from repro.tables import Paragraph, Table, TableContext
 from repro.telemetry import Telemetry
 
@@ -92,23 +101,8 @@ class TestExecutorPlumbing:
         assert shard_indices(0, 4) == []
 
     def test_pick_start_method_on_this_platform(self):
-        # CPython always offers at least spawn; the contract is just
-        # "a usable method or None", never an exception.
-        assert pick_start_method() in ("fork", "spawn", None)
-
-    def test_fallback_without_start_method(
-        self, monkeypatch, framework, contexts
-    ):
-        monkeypatch.setattr(parallel, "pick_start_method", lambda: None)
-        telemetry = Telemetry()
-        results = generate_parallel(
-            framework.generation_state(), contexts, 4, telemetry
-        )
-        flat = [s for produced in results for s in produced]
-        assert _fingerprint(flat) == _fingerprint(
-            framework.generate(contexts, workers=1)
-        )
-        assert telemetry.count("drops", "parallel/fallback:no_start_method") == 1
+        # every CPython offers at least spawn
+        assert pick_start_method() in ("fork", "spawn")
 
     def test_worker_telemetry_merged(self, framework, contexts):
         framework.generate(contexts, workers=2)
@@ -133,78 +127,200 @@ class TestExecutorPlumbing:
         assert len(results) == 1
         assert results[0]
 
-    def test_skip_indices_come_back_empty(self, framework, contexts):
-        telemetry = Telemetry()
-        results = generate_parallel(
-            framework.generation_state(), contexts, 2, telemetry,
-            skip=(0, 4),
-        )
-        assert results[0] == [] and results[4] == []
-        serial = generate_parallel(
-            framework.generation_state(), contexts, 1, Telemetry(),
-            skip=(0, 4),
-        )
-        assert _fingerprint(
-            [s for produced in results for s in produced]
-        ) == _fingerprint([s for produced in serial for s in produced])
+    def test_done_indices_come_back_as_given(self, framework, contexts):
+        state = framework.generation_state()
+        serial = generate_parallel(state, contexts, 1, Telemetry())
+        done = {0: serial[0], 4: []}
+        for workers in (1, 2):
+            ran = []
+            results = generate_parallel(
+                state, contexts, workers, Telemetry(), done=done,
+                on_outcome=lambda outcome: ran.append(outcome.index),
+            )
+            assert results[0] is serial[0] and results[4] == []
+            assert sorted(ran) == [1, 2, 3, 5]
+            for index in (1, 2, 3, 5):
+                assert _fingerprint(results[index]) == _fingerprint(
+                    serial[index]
+                )
 
-    def test_on_result_fires_once_per_context(self, framework, contexts):
-        seen = []
-        generate_parallel(
-            framework.generation_state(), contexts, 2, Telemetry(),
-            on_result=lambda index, samples: seen.append(index),
+    def test_on_outcome_fires_once_per_context(self, framework, contexts):
+        for workers in (1, 2):
+            seen = []
+            generate_parallel(
+                framework.generation_state(), contexts, workers,
+                Telemetry(), on_outcome=seen.append,
+            )
+            assert sorted(o.index for o in seen) == list(range(len(contexts)))
+            assert all(o.ok for o in seen)
+
+    def test_serial_run_loads_no_process_pool(self):
+        # a workers=1 run must not pay for multiprocessing's imports
+        script = "\n".join([
+            "import sys",
+            "from repro.pipelines import UCTR, UCTRConfig",
+            "from repro.tables import Paragraph, Table, TableContext",
+            inspect.getsource(_context),
+            "contexts = [_context(i) for i in range(3)]",
+            "config = UCTRConfig(program_kinds=('sql',))",
+            "framework = UCTR(config).fit(contexts)",
+            "assert framework.generate(contexts, workers=1)",
+            "print(sorted(set(sys.modules) & {'multiprocessing',"
+            " 'concurrent.futures.process'}))",
+        ])
+        root = Path(__file__).resolve().parent.parent
+        completed = subprocess.run(
+            [sys.executable, "-c", script], cwd=root, check=True,
+            capture_output=True, text=True,
+            env={"PYTHONPATH": str(root / "src"), "PATH": ""},
         )
-        assert sorted(seen) == list(range(len(contexts)))
+        assert completed.stdout.strip() == "[]"
+
+
+def _checkpoint(directory, framework, contexts, indices):
+    """A partial checkpoint holding exactly ``indices``."""
+    state = framework.generation_state()
+    per_context = generate_parallel(state, contexts, 1, Telemetry())
+    manager = CheckpointManager(
+        directory,
+        fingerprint=run_fingerprint(state, contexts),
+        total=len(contexts),
+    ).open()
+    for index in sorted(indices):
+        manager.record(index, per_context[index])
+    manager.finalize(partial=True)
+    return directory
+
+
+class TestResume:
+    """A resumed run emits what an uninterrupted one does."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gap_resume_with_budget_matches_fresh(
+        self, framework, contexts, tmp_path, workers
+    ):
+        # the gaps an interrupted parallel run leaves: 1 and 2 missing
+        checkpoint = _checkpoint(tmp_path, framework, contexts, {0, 3, 4, 5})
+        fresh = framework.generate(contexts, budget=9, workers=1)
+        resumed = framework.generate(
+            contexts, budget=9, workers=workers, resume_from=checkpoint
+        )
+        assert len(resumed) == 9
+        assert _fingerprint(resumed) == _fingerprint(fresh)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checkpoint_records_each_context_once(
+        self, monkeypatch, framework, contexts, tmp_path, workers
+    ):
+        recorded = []
+        record = CheckpointManager.record
+
+        def spy(manager, index, samples):
+            recorded.append(index)
+            record(manager, index, samples)
+
+        monkeypatch.setattr(CheckpointManager, "record", spy)
+        framework.generate(contexts, workers=workers, checkpoint_dir=tmp_path)
+        assert sorted(recorded) == list(range(len(contexts)))
+        if workers == 1:
+            assert recorded == sorted(recorded)  # as each completes
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        budget=st.one_of(st.none(), st.integers(min_value=0, max_value=40)),
+        completed=st.sets(st.integers(min_value=0, max_value=5)),
+    )
+    def test_resumed_output_equals_fresh(
+        self, framework, contexts, budget, completed
+    ):
+        fresh = framework.generate(contexts, budget=budget, workers=1)
+        with tempfile.TemporaryDirectory() as directory:
+            checkpoint = _checkpoint(directory, framework, contexts, completed)
+            resumed = framework.generate(
+                contexts, budget=budget, workers=1, resume_from=checkpoint
+            )
+        assert _fingerprint(resumed) == _fingerprint(fresh)
 
 
 class TestBackfill:
-    """The safety net under the pool driver (no more silent chunk loss)."""
+    """Whatever the pool rounds leave unfilled finishes in-process."""
 
     def test_missing_indices_regenerated_and_counted(
-        self, framework, contexts
+        self, monkeypatch, framework, contexts
     ):
         state = framework.generation_state()
         serial = generate_parallel(state, contexts, 1, Telemetry())
-        results = list(serial)
-        results[1] = None
-        results[4] = None  # simulate chunks the rounds never filled
+        # rounds that never fill anything run the round budget out
+        monkeypatch.setattr(parallel, "_run_round", lambda *args: [])
         telemetry = Telemetry()
-        filled = []
-        missing = _backfill_missing(
-            state, contexts, results, telemetry, RetryPolicy(),
-            on_result=lambda index, samples: filled.append(index),
+        seen = []
+        results = generate_parallel(
+            state, contexts, 2, telemetry, on_outcome=seen.append
         )
-        assert missing == [1, 4]
-        assert filled == [1, 4]
         # regenerated in-process, byte-identical to the serial output
-        assert _fingerprint(results[1]) == _fingerprint(serial[1])
-        assert _fingerprint(results[4]) == _fingerprint(serial[4])
-        # counted exactly once per missing context, never silently
-        assert telemetry.count("retries", "backfill/missing_chunk") == 2
+        assert _fingerprint(
+            [s for produced in results for s in produced]
+        ) == _fingerprint([s for produced in serial for s in produced])
+        assert sorted(o.index for o in seen) == list(range(len(contexts)))
+        # counted exactly once per leftover context, never silently
+        assert telemetry.count("retries", "leftover/in_process") == len(
+            contexts
+        )
 
     def test_nothing_missing_is_a_noop(self, framework, contexts):
-        state = framework.generation_state()
-        results = generate_parallel(state, contexts, 1, Telemetry())
-        telemetry = Telemetry()
-        assert _backfill_missing(
-            state, contexts, results, telemetry, RetryPolicy()
-        ) == []
-        assert telemetry.count("retries") == 0
+        for workers in (1, 2):
+            telemetry = Telemetry()
+            generate_parallel(
+                framework.generation_state(), contexts, workers, telemetry
+            )
+            assert telemetry.count("retries") == 0
 
     def test_backfill_quarantines_poisoned_context(
-        self, framework, contexts
+        self, monkeypatch, framework, contexts
     ):
-        from repro.runtime.faults import FaultPlan, FaultSpec, injected
-
-        state = framework.generation_state()
-        results = [[] for _ in contexts]
-        results[2] = None
+        monkeypatch.setattr(parallel, "_run_round", lambda *args: [])
         telemetry = Telemetry()
+        seen = []
         with injected(FaultPlan({2: FaultSpec(kind="raise")})):
-            _backfill_missing(
-                state, contexts, results, telemetry,
-                RetryPolicy(max_attempts=2, backoff_base=0.0),
+            results = generate_parallel(
+                framework.generation_state(), contexts, 2, telemetry,
+                policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
+                on_outcome=seen.append,
             )
         assert results[2] == []
         events = telemetry.events("quarantine")
-        assert [e["index"] for e in events] == [2]
+        assert [(e["index"], e["stage"]) for e in events] == [(2, "parent")]
+        assert [o.index for o in seen if not o.ok] == [2]
+
+
+class TestQuarantineOutcome:
+    """A quarantined context reaches ``on_outcome`` with ``ok=False``."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_context(self, framework, contexts, workers):
+        seen = []
+        with injected(FaultPlan({3: FaultSpec(kind="raise")})):
+            generate_parallel(
+                framework.generation_state(), contexts, workers,
+                Telemetry(), on_outcome=seen.append,
+                policy=RetryPolicy(max_attempts=1, backoff_base=0.0),
+            )
+        assert sorted(o.index for o in seen) == list(range(len(contexts)))
+        (failed,) = [o for o in seen if not o.ok]
+        assert failed.index == 3 and failed.samples == []
+        assert failed.quarantine.reason == "exception"
+
+    def test_parent_side_quarantine(self, contexts):
+        seen = []
+        results = [None] * len(contexts)
+        telemetry = Telemetry()
+        _charge_chunk(
+            _Chunk([4]), "worker_death", deque(), RetryPolicy(max_attempts=1),
+            contexts, results, telemetry, seen.append,
+        )
+        (outcome,) = seen
+        assert not outcome.ok and outcome.index == 4
+        assert outcome.quarantine.reason == "worker_death"
+        assert outcome.quarantine.stage == "parent"
+        assert results[4] == []
+        assert [e["index"] for e in telemetry.events("quarantine")] == [4]

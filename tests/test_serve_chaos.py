@@ -233,6 +233,89 @@ class TestHungReplica:
         finally:
             pool.stop(drain=True)
 
+    def test_leg_stranded_on_tripped_slot_fails_over(
+        self, stub_registry, serve_context
+    ):
+        # the hung request's timer hedge is 15 s out; other traffic
+        # (two corrupt replies from slot 0) trips slot 0's breaker, and
+        # the stranded leg must fail over then, not at the timer or the
+        # 20 s request timeout.
+        plan = ServeFaultPlan((
+            ServeFaultSpec(kind="hang", replica=0, count=1),
+            ServeFaultSpec(kind="corrupt", replica=0, after=1, count=2),
+        ))
+        with chaos.injected(plan):
+            pool = make_pool(
+                stub_registry,
+                hedge=HedgePolicy(floor_s=15.0, ceiling_s=15.0),
+                request_timeout_s=20.0,
+            )
+        try:
+            box = {}
+            hung = threading.Thread(target=lambda: box.update(
+                response=pool.infer(
+                    TASK_QA, sentence_for_slot(pool, 0, serve_context),
+                    serve_context,
+                ),
+                done=time.monotonic(),
+            ))
+            started = time.monotonic()
+            hung.start()
+            time.sleep(0.2)  # the hung leg is in flight on slot 0
+            for tag in ("strike-a", "strike-b"):
+                response = pool.infer(
+                    TASK_QA, sentence_for_slot(pool, 0, serve_context, tag),
+                    serve_context,
+                )
+                assert response.ok, response.error  # failed over
+            assert pool.replica_states()[0]["state"] == "breaker_open"
+            hung.join(timeout=25.0)
+            assert box["response"].ok, box["response"].error
+            assert box["done"] - started < 5.0
+            stats = pool.stats()
+            assert stats["errors"] == 0
+            assert stats["reconciles"] and stats["in_flight"] == 0
+        finally:
+            pool.stop(drain=True)
+
+
+class TestFailOpen:
+    """A pool whose breakers all refuse still serves, through one leg."""
+
+    @pytest.mark.parametrize("other", ["draining", "breaker_open"])
+    def test_open_breaker_serves_when_no_slot_admits(
+        self, stub_registry, serve_context, other
+    ):
+        pool = make_pool(
+            stub_registry, hedge=HedgePolicy(floor_s=5.0, ceiling_s=5.0)
+        )
+        handle = pool._slots[1]
+        try:
+            tripped = [0] if other == "draining" else [0, 1]
+            if other == "draining":
+                handle.draining = True  # mid rolling reload
+            for slot in tripped:
+                for _ in range(2):
+                    pool._breakers[slot].record_failure()
+            assert [s["routable"] for s in pool.replica_states()] == [
+                False, False
+            ]
+            for slot in (0, 1):
+                response = pool.infer(
+                    TASK_QA, sentence_for_slot(pool, slot, serve_context),
+                    serve_context,
+                )
+                assert response.ok, response.error
+            stats = pool.stats()
+            # served fail-open on one leg each: no duplicate dispatch,
+            # and the success re-closed the serving slot's breaker
+            assert stats["hedges"]["fired"] == 0
+            assert stats["errors"] == 0
+            assert pool.replica_states()[0]["state"] == "ready"
+        finally:
+            handle.draining = False
+            pool.stop(drain=True)
+
 
 class TestCrashingReplica:
     def test_failover_completes_and_slot_respawns(

@@ -105,6 +105,12 @@ class TestServing:
         assert all(e["routable"] for e in states)
         assert pool.any_routable()
 
+    def test_stopped_pool_reports_stopped(self, pool):
+        pool.stop(drain=True)
+        for states in (pool.replica_states(), pool.stats()["replicas"]):
+            assert [e["state"] for e in states] == ["stopped", "stopped"]
+        assert not any(e["routable"] for e in pool.replica_states())
+
     def test_routing_is_deterministic(self, pool, serve_context):
         from repro.serve.engine import context_digest
 
@@ -341,6 +347,13 @@ class TestInProcessTransport:
         health = local_pool.health()
         assert health["status"] == "ok"
         assert [e["state"] for e in health["replicas"]] == ["ready"]
+
+    def test_stopped_slot_reports_stopped(self, local_pool):
+        local_pool.stop(drain=True)
+        assert local_pool.replica_states() == [
+            {"slot": 0, "state": "stopped", "routable": False,
+             "breaker": "closed"}
+        ]
 
     def test_in_flight_is_counted_not_derived(self, serve_context):
         from repro.serve import InferenceEngine

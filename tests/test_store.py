@@ -246,6 +246,29 @@ build_index(sys.argv[1], workers=2)
 """
 
 
+def _live_group_members(pgid: int) -> list[int]:
+    """Pids of the non-zombie processes in process group ``pgid``."""
+    if not Path("/proc/self/stat").exists():  # no procfs: zombies count
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # fields after "(comm)": state, ppid, pgrp, ...
+        state, _, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry.name))
+    return members
+
+
 class TestCrashResume:
     def test_kill9_mid_build_resumes_byte_identical(self, tmp_path):
         contexts = _contexts(48)
@@ -259,13 +282,29 @@ class TestCrashResume:
         )
         env["REPRO_STORE_PART_DELAY_S"] = "0.25"
         proc = subprocess.Popen(
-            [sys.executable, "-c", _KILL_SCRIPT, str(root)], env=env
+            [sys.executable, "-c", _KILL_SCRIPT, str(root)], env=env,
+            start_new_session=True,
         )
-        # let it finish some (but, at 6 parts x 0.25s on 2 workers, not
-        # all) of the per-shard checkpoints, then kill it un-gracefully
-        time.sleep(0.7)
-        proc.send_signal(signal.SIGKILL)
-        proc.wait()
+        try:
+            # let it finish some (but, at 6 parts x 0.25s on 2 workers,
+            # not all) of the per-shard checkpoints, then kill it
+            # un-gracefully — the builder only, not its pool workers
+            time.sleep(0.7)
+            proc.send_signal(signal.SIGKILL)
+            proc.wait()
+            # orphaned pool workers notice and exit on their own
+            deadline = time.monotonic() + 5.0
+            while _live_group_members(proc.pid):
+                assert time.monotonic() < deadline, (
+                    "pool workers outlived their killed parent: "
+                    f"{_live_group_members(proc.pid)}"
+                )
+                time.sleep(0.1)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
         assert not index_path_for(root).exists()
         survivors = [
