@@ -490,7 +490,7 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
         return 1
     except IntegrityError:
         raise
-    print(f"index ok: {index.docs} docs / {len(index.postings)} terms")
+    print(f"index ok: {index.docs} docs / {len(index.terms)} terms")
     return 0
 
 

@@ -6,6 +6,8 @@ manifests — goes through the two helpers here so an interrupted process
 place of a good one.  The recipe is the classic POSIX one: write to a
 sibling temp file in the same directory, flush + ``fsync``, then
 ``os.replace`` onto the destination (atomic on POSIX and on NTFS).
+Each writer gets its own temp file, so two writers racing on one path
+cannot clobber each other's bytes.
 
 This module deliberately imports nothing from the rest of ``repro`` so
 that low-level layers (:mod:`repro.io`, :mod:`repro.telemetry.report`,
@@ -15,6 +17,7 @@ that low-level layers (:mod:`repro.io`, :mod:`repro.telemetry.report`,
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -55,6 +58,10 @@ def fsync_handle(handle: IO) -> None:
     os.fsync(handle.fileno())
 
 
+#: per-process sequence that makes every writer's temp name unique.
+_TEMP_SEQUENCE = itertools.count()
+
+
 @contextmanager
 def atomic_writer(
     path: str | Path, encoding: str | None = "utf-8"
@@ -62,17 +69,30 @@ def atomic_writer(
     """A handle whose contents appear at ``path`` all-or-nothing.
 
     A text handle, or a binary one with ``encoding=None``.  The handle
-    writes to ``path + ".tmp"``; on clean exit the temp file is fsynced
-    and atomically renamed over ``path``.  On an exception the temp file
-    is removed and ``path`` is left exactly as it was — including not
-    existing at all.
+    writes to a temp file of its own, ``<name>.<pid>.<counter>.tmp``
+    beside ``path`` (created exclusively, so no two writers ever share
+    one); on clean exit the temp file is fsynced and atomically renamed
+    over ``path``.  Overlapping writers to one path therefore each
+    publish whole contents, and the last to close wins.  On an
+    exception the temp file is removed and ``path`` is left exactly as
+    it was — including not existing at all.  A killed writer leaves
+    only its ``*.tmp``, which no reader opens.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    while True:
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}.{next(_TEMP_SEQUENCE)}.tmp"
+        )
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            # a killed writer's leftover under a reused pid: skip it
+            continue
     handle = (
-        tmp.open("wb") if encoding is None
-        else tmp.open("w", encoding=encoding)
+        os.fdopen(fd, "wb") if encoding is None
+        else os.fdopen(fd, "w", encoding=encoding)
     )
     try:
         yield handle

@@ -30,7 +30,7 @@ The build is a per-shard map followed by an ordered merge:
 1. Every shard gets a **part file** (``index/parts/<shard>.part.json``
    + sidecar) that is a pure function of that shard's bytes and its
    start ordinal.  Parts are written atomically; a ``kill -9`` leaves
-   at most an ignored ``*.tmp``.
+   only the killed writer's ``*.tmp`` file, which nothing reads.
 2. A rebuild *skips* every part whose sidecar verifies and whose
    recorded shard SHA-256 still matches the store manifest — that is
    the whole checkpoint/resume story, inherited from the atomic-file
@@ -55,8 +55,11 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from repro.errors import IntegrityError, StoreError
 from repro.fsio import atomic_write_text
@@ -378,21 +381,57 @@ def build_index(
 
 
 class StoreIndex:
-    """The parsed, verified inverted index of one store."""
+    """The parsed, verified inverted index of one store, as flat arrays.
+
+    Every term's postings are one contiguous slice of ``ordinals``
+    (int64) and ``tfs`` (float64), ordinal-ascending as in the file;
+    ``terms`` maps a term to its ``(start, end)`` slice.  Documents are
+    addressed by ordinal: ``lengths[ordinal]`` is the weighted length
+    BM25 normalizes by and ``doc_meta[ordinal]`` the ``(uid, title)``
+    a hit reports.  Raises :class:`StoreError` when the payload's
+    ordinals do not address exactly ``0..docs-1``.
+    """
 
     def __init__(self, payload: dict[str, Any]):
         self.docs: int = int(payload["docs"])
         self.avgdl: float = float(payload["avgdl"])
-        #: ordinal -> (uid, title, length)
-        self.doc_meta: dict[int, tuple[str, str, float]] = {
-            int(entry[0]): (str(entry[1]), str(entry[2]), float(entry[3]))
-            for entry in payload["doc_meta"]
-        }
-        self.postings: dict[str, list[tuple[int, float]]] = {
-            term: [(int(doc), float(tf)) for doc, tf in entries]
-            for term, entries in payload["postings"].items()
-        }
+        meta = payload["doc_meta"]
+        postings: dict[str, list[list[Any]]] = payload["postings"]
+        self.doc_meta: list[tuple[str, str]] = [
+            (str(entry[1]), str(entry[2])) for entry in meta
+        ]
+        self.lengths = np.fromiter(
+            (entry[3] for entry in meta), dtype=np.float64, count=len(meta)
+        )
+        sizes = np.fromiter(
+            map(len, postings.values()), dtype=np.int64, count=len(postings)
+        )
+        ends = np.cumsum(sizes)
+        self.terms: dict[str, tuple[int, int]] = dict(
+            zip(postings, zip((ends - sizes).tolist(), ends.tolist()))
+        )
+        pairs = np.fromiter(
+            chain.from_iterable(chain.from_iterable(postings.values())),
+            dtype=np.float64,
+            count=2 * int(ends[-1]) if len(ends) else 0,
+        ).reshape(-1, 2)
+        self.ordinals = pairs[:, 0].astype(np.int64)
+        self.tfs = np.ascontiguousarray(pairs[:, 1])
         self.shards: list[dict[str, str]] = list(payload["shards"])
+        meta_ordinals = np.fromiter(
+            (entry[0] for entry in meta), dtype=np.int64, count=len(meta)
+        )
+        postings_in_range = self.ordinals.size == 0 or (
+            self.ordinals.min() >= 0 and self.ordinals.max() < self.docs
+        )
+        if not (
+            np.array_equal(meta_ordinals, np.arange(self.docs))
+            and postings_in_range
+        ):
+            raise StoreError(
+                "malformed index: document ordinals are not exactly "
+                f"0..{self.docs - 1} (run `repro store build` to rebuild)"
+            )
 
 
 def load_index(root: str | Path, *, store: TableStore | None = None) -> StoreIndex:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from repro.errors import StoreError
 from repro.store.index import StoreIndex, load_index, query_terms
 from repro.store.store import TableStore, doc_id_for
@@ -63,6 +65,10 @@ class Retriever:
     def __init__(self, store: TableStore, index: StoreIndex):
         self.store = store
         self.index = index
+        #: the per-document half of BM25's denominator, once per index.
+        self._norm = BM25_K1 * (
+            1.0 - BM25_B + BM25_B * index.lengths / max(index.avgdl, 1e-9)
+        )
 
     @classmethod
     def open(cls, root: str | Path) -> "Retriever":
@@ -86,30 +92,37 @@ class Retriever:
         index = self.index
         if index.docs == 0:
             return []
-        scores: dict[int, float] = {}
+        # each document sums its terms in query-term order with the
+        # float operations of the scalar formula, so scores are the same
+        # bits however the postings are laid out.
+        scores = np.zeros(index.docs)
+        touched = np.zeros(index.docs, dtype=bool)
         for term in query_terms(question):
-            entries = index.postings.get(term)
-            if not entries:
+            span = index.terms.get(term)
+            if span is None:
                 continue
-            df = len(entries)
+            start, end = span
+            ordinals = index.ordinals[start:end]
+            tf = index.tfs[start:end]
+            df = end - start
             idf = math.log(
                 1.0 + (index.docs - df + 0.5) / (df + 0.5)
             )
-            for ordinal, tf in entries:
-                length = index.doc_meta[ordinal][2]
-                denom = tf + BM25_K1 * (
-                    1.0 - BM25_B + BM25_B * length / max(index.avgdl, 1e-9)
-                )
-                scores[ordinal] = scores.get(ordinal, 0.0) + idf * (
-                    tf * (BM25_K1 + 1.0) / denom
-                )
-        ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+            scores[ordinals] += idf * (
+                tf * (BM25_K1 + 1.0) / (tf + self._norm[ordinals])
+            )
+            touched[ordinals] = True
+        candidates = np.flatnonzero(touched)
+        # best score first, ties on ascending ordinal
+        ranked = candidates[
+            np.lexsort((candidates, -scores[candidates]))[:k]
+        ]
         out: list[RetrievalHit] = []
-        for ordinal, score in ranked[:k]:
-            uid, title, _length = index.doc_meta[ordinal]
+        for ordinal in ranked.tolist():
+            uid, title = index.doc_meta[ordinal]
             out.append(RetrievalHit(
                 doc_id=doc_id_for(ordinal), ordinal=ordinal,
-                uid=uid, title=title, score=score,
+                uid=uid, title=title, score=float(scores[ordinal]),
             ))
         return out
 

@@ -1,10 +1,14 @@
 """Tests for JSONL persistence and the CLI."""
 
+import itertools
 import json
+import os
 
 import pytest
 
+from repro import fsio
 from repro.errors import DatasetError, FileFormatError
+from repro.fsio import atomic_write_text, atomic_writer
 from repro.io import (
     load_contexts,
     load_samples,
@@ -124,6 +128,36 @@ class TestAtomicWrites:
         write_jsonl(path, [{"old": 1}])
         write_jsonl(path, [{"new": 1}, {"new": 2}])
         assert list(read_jsonl(path)) == [{"new": 1}, {"new": 2}]
+
+    def test_overlapping_writers_each_commit_last_close_wins(self, tmp_path):
+        path = tmp_path / "shared.txt"
+        with atomic_writer(path) as outer:
+            outer.write("a\n")
+            with atomic_writer(path) as inner:
+                inner.write("b\n")
+            assert path.read_text(encoding="utf-8") == "b\n"
+            outer.write("a again\n")
+        assert path.read_text(encoding="utf-8") == "a\na again\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["shared.txt"]
+
+    def test_leftover_temp_under_reused_pid_is_skipped(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(fsio, "_TEMP_SEQUENCE", itertools.count(7))
+        leftover = tmp_path / f"data.txt.{os.getpid()}.7.tmp"
+        leftover.write_text("killed writer", encoding="utf-8")
+        atomic_write_text(tmp_path / "data.txt", "fresh")
+        assert (tmp_path / "data.txt").read_text(encoding="utf-8") == "fresh"
+        assert leftover.read_text(encoding="utf-8") == "killed writer"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "data.txt", leftover.name,
+        ]
+
+    def test_file_mode_matches_a_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x", encoding="utf-8")
+        path = atomic_write_text(tmp_path / "atomic.txt", "x")
+        assert path.stat().st_mode == plain.stat().st_mode
 
 
 class TestCli:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.errors import IntegrityError, StoreError
 from repro.store import (
     Retriever,
@@ -30,6 +31,7 @@ from repro.store import (
     synth_table_context,
 )
 from repro.store.index import index_path_for, part_path_for
+from repro.validate.manifest import read_manifest, write_manifest
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -237,6 +239,99 @@ class TestIndexDeterminism:
         path.write_bytes(bytes(blob))
         with pytest.raises(IntegrityError):
             load_index(root)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["meta_out_of_order", "meta_offset", "posting_past_end",
+         "posting_negative"],
+    )
+    def test_malformed_ordinals_are_store_error(self, tmp_path, damage):
+        root = tmp_path / "s"
+        TableStore.create(root).add(_contexts(4))
+        build_index(root)
+        path = index_path_for(root)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        meta = payload["doc_meta"]
+        postings = next(iter(payload["postings"].values()))
+        if damage == "meta_out_of_order":
+            meta[0], meta[1] = meta[1], meta[0]
+        elif damage == "meta_offset":
+            for entry in meta:
+                entry[0] += 1
+        elif damage == "posting_past_end":
+            postings.append([payload["docs"], 1.0])
+        else:
+            postings.insert(0, [-1, 1.0])
+        # a self-consistent file: the sidecar matches the damaged bytes
+        # and the shard list is current, so only the ordinal check can
+        # refuse it
+        path.write_text(
+            json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            + "\n",
+            encoding="utf-8",
+        )
+        sidecar = read_manifest(path)
+        write_manifest(
+            path,
+            record_kind=sidecar.record_kind,
+            records=sidecar.records,
+            generator=sidecar.generator,
+        )
+        with pytest.raises(StoreError, match="malformed index"):
+            load_index(root)
+
+
+class TestStoreCli:
+    @pytest.fixture()
+    def built(self, tmp_path):
+        root = tmp_path / "s"
+        TableStore.create(root, shard_size=8).add(_contexts(20))
+        return root, build_index(root)
+
+    def test_verify_reports_docs_and_terms(self, built, capsys):
+        root, summary = built
+        assert cli_main(["store", "verify", "--store", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert f"index ok: 20 docs / {summary['terms']} terms" in out
+
+    def test_verify_stale_index_exits_1(self, built, capsys):
+        root, _summary = built
+        TableStore.open(root).add(_contexts(2, seed=1))
+        assert cli_main(["store", "verify", "--store", str(root)]) == 1
+        captured = capsys.readouterr()
+        assert "store ok: 22 docs" in captured.out
+        assert "stale" in captured.err
+
+    def test_query_prints_json_hits(self, built, capsys):
+        root, _summary = built
+        context = synth_table_context(0, 3)
+        question = (
+            f"what is the revenue for {context.table.row_name(0)} ?"
+        )
+        code = cli_main(
+            ["store", "query", "--store", str(root), "-k", "3", question]
+        )
+        assert code == 0
+        hits = [
+            json.loads(line)
+            for line in capsys.readouterr().out.splitlines()
+        ]
+        assert 1 <= len(hits) <= 3
+        assert hits[0]["uid"] == context.uid
+        assert set(hits[0]) == {"doc_id", "uid", "title", "score"}
+        assert [hit["score"] for hit in hits] == sorted(
+            (hit["score"] for hit in hits), reverse=True
+        )
+
+    def test_query_without_hits_exits_1(self, built, capsys):
+        root, _summary = built
+        code = cli_main(
+            ["store", "query", "--store", str(root), "zzzz qqqq wwww"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no hits" in captured.err
 
 
 _KILL_SCRIPT = """

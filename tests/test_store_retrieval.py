@@ -1,16 +1,31 @@
 """Retrieval-quality tests and the passage linearizer's regression pins."""
 
+import json
+import math
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StoreError, TableError
 from repro.store import (
     Retriever,
     TableStore,
     build_index,
+    doc_id_for,
     gold_questions,
     synth_corpus,
+    synth_table_context,
 )
-from repro.store.index import document_terms, number_term, query_terms
+from repro.store.index import (
+    document_terms,
+    index_path_for,
+    number_term,
+    query_terms,
+)
+from repro.store.retrieval import BM25_B, BM25_K1
 from repro.tables.serialize import linearize_table
 from repro.tables.table import Table
 
@@ -86,6 +101,84 @@ class TestRetrieval:
         header = context.table.column_names[1]
         # caption/title outrank headers outrank cell values
         assert weights[title_word] > weights[header] >= 1.0
+
+
+def _reference_search(payload, question, k):
+    """Scalar BM25 over the raw index JSON: the oracle for ``search``.
+
+    One dict accumulator, postings walked term by term in query order,
+    ranked by ``(-score, ordinal)``.
+    """
+    docs = int(payload["docs"])
+    avgdl = float(payload["avgdl"])
+    meta = {
+        int(entry[0]): (str(entry[1]), str(entry[2]), float(entry[3]))
+        for entry in payload["doc_meta"]
+    }
+    scores = {}
+    for term in query_terms(question):
+        entries = payload["postings"].get(term)
+        if not entries:
+            continue
+        df = len(entries)
+        idf = math.log(1.0 + (docs - df + 0.5) / (df + 0.5))
+        for ordinal, tf in entries:
+            ordinal, tf = int(ordinal), float(tf)
+            length = meta[ordinal][2]
+            denom = tf + BM25_K1 * (
+                1.0 - BM25_B + BM25_B * length / max(avgdl, 1e-9)
+            )
+            scores[ordinal] = scores.get(ordinal, 0.0) + idf * (
+                tf * (BM25_K1 + 1.0) / denom
+            )
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    return [
+        (doc_id_for(ordinal), meta[ordinal][0], meta[ordinal][1],
+         score.hex())
+        for ordinal, score in ranked[:k]
+    ]
+
+
+class TestArraySearchEquivalence:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_matches_reference_bm25_bitwise(self, data):
+        # few distinct tables drawn with repeats: duplicates tie exactly
+        picks = data.draw(
+            st.lists(st.integers(0, 5), min_size=1, max_size=8),
+            label="tables",
+        )
+        with tempfile.TemporaryDirectory() as scratch:
+            root = Path(scratch) / "store"
+            TableStore.create(root, shard_size=3).add(
+                [synth_table_context(3, index) for index in picks]
+            )
+            build_index(root)
+            payload = json.loads(
+                index_path_for(root).read_text(encoding="utf-8")
+            )
+            retriever = Retriever.open(root)
+        words = data.draw(
+            st.lists(
+                st.sampled_from(
+                    sorted(payload["postings"])
+                    + ["zzzabsent", "qqqnowhere", "1,000"]
+                ),
+                max_size=6,
+            ),
+            label="question words",
+        )
+        question = " ".join(words)
+        k = data.draw(st.integers(1, len(picks) + 3), label="k")
+        got = [
+            (hit.doc_id, hit.uid, hit.title, hit.score.hex())
+            for hit in retriever.search(question, k=k)
+        ]
+        assert got == _reference_search(payload, question, k)
 
 
 class TestPassageLinearizer:
