@@ -12,13 +12,13 @@ A tiny three-state machine, one instance per replica slot:
     ``cooldown_s`` the next routing decision is allowed through as a
     half-open probe.
 ``half_open``
-    probe requests are admitted at most one per probe interval
-    (``cooldown_s / probes``).  A probe success closes the breaker
-    (full re-admission); a probe failure re-opens it and restarts the
-    cooldown clock.  Probe admission is time-throttled rather than
-    in-flight-counted on purpose: a probe whose outcome is never
-    reported (e.g. a hedge loser whose reply was discarded) self-heals
-    at the next interval instead of leaking a probe slot forever.
+    probe requests are admitted at most one per ``cooldown_s``.  A
+    probe success closes the breaker (full re-admission); a probe
+    failure re-opens it and restarts the cooldown clock.  Probe
+    admission is time-throttled rather than in-flight-counted on
+    purpose: a probe whose outcome is never reported (e.g. a hedge
+    loser whose reply was discarded) ages out one cooldown later
+    instead of leaking a probe slot forever.
 
 What counts as a failure is the *caller's* decision — the pool reports
 replica-attributable outcomes (timeout, death, corrupt reply, lost
@@ -46,14 +46,12 @@ class CircuitBreaker:
         self,
         threshold: int = 5,
         cooldown_s: float = 1.0,
-        probes: int = 1,
         clock=time.monotonic,
     ) -> None:
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {threshold}")
         self.threshold = threshold
         self.cooldown_s = cooldown_s
-        self.probe_interval_s = cooldown_s / max(1, probes)
         self._clock = clock
         self._lock = threading.Lock()
         self._state = self.CLOSED
@@ -96,7 +94,7 @@ class CircuitBreaker:
             now = self._clock()
             if (
                 self._last_probe_at is not None
-                and now - self._last_probe_at < self.probe_interval_s
+                and now - self._last_probe_at < self.cooldown_s
             ):
                 return False
             self._last_probe_at = now

@@ -74,16 +74,19 @@ Resilience layer (all per-request, all accounted in ``/metrics``):
   walk, so spilled placement is as deterministic as primary placement.
   Half-open probes re-admit the replica.  :class:`OverloadedError` never
   trips a breaker: shedding load is a healthy replica doing its job.
-* **Hedged dispatch** (two or more slots) — if the routed replica has
-  not replied within the
-  :class:`~repro.serve.hedge.HedgePolicy` delay (p95 of that slot's
-  recent latencies, clamped), the request is re-sent to the next
-  routable slot and the first reply wins; the loser's reply slot is
-  forgotten, so its late answer is dropped on the floor by the reader
-  thread.  Inference is pure, so the duplicate is safe.  A lone leg
-  waiting on a slot whose breaker opens meanwhile is raced at once by a
-  second leg on a slot whose breaker admits traffic (if there is one).
-  ``hedges_fired`` and ``hedges_won`` account for every hedge exactly.
+* **Hedged dispatch** (two or more slots) — a request has at most two
+  legs, its primary and one second leg, and the first reply wins; the
+  loser's reply slot is forgotten, so its late answer is dropped on the
+  floor by the reader thread.  Inference is pure, so the duplicate is
+  safe.  The second leg starts when the routed replica has not replied
+  within the :class:`~repro.serve.hedge.HedgePolicy` delay (p95 of that
+  slot's recent latencies, clamped; budgeted), at once when the lone
+  leg's breaker opens while it waits, or when the only leg fails
+  (failover).  Only failover may fail open into a slot whose breaker
+  refuses; the other two go only to a slot whose breaker admits
+  traffic.  The rules are one pure planner, :func:`plan`, which
+  ``_dispatch`` drives.  ``hedges_fired`` and ``hedges_won`` account
+  for every hedge exactly.
 * **Deadline admission** — a request whose remaining end-to-end budget
   is below the routed slot's recent p50 latency is rejected up front
   with a typed ``deadline`` verdict instead of computed and discarded;
@@ -106,12 +109,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import math
 import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import (
     DeadlineExceededError,
@@ -655,6 +659,162 @@ class _LocalReplica:
         self.dead = True
 
 
+# -- dispatch planner ---------------------------------------------------------
+#: typed verdicts that are the pool's or the caller's doing, not the
+#: replica's: the request is rejected rather than failed, and no breaker
+#: is struck (shedding load is a healthy replica doing its job).
+_REJECTIONS = (OverloadedError, EngineStoppedError, DeadlineExceededError)
+
+
+class Leg(NamedTuple):
+    """One submission of a request to one slot."""
+
+    slot: int
+    t0: float
+    #: a second leg (timer hedge, stranded-leg race or failover).
+    hedge: bool = False
+
+
+class LegState(NamedTuple):
+    """All the dispatch planner knows about one request (immutable)."""
+
+    #: every live leg is given up at this instant.
+    deadline_at: float
+    #: may a second leg still start (hedging on, and none started yet)?
+    spare: bool = False
+    #: when the timer hedge falls due (``inf``: none, or spent).
+    hedge_at: float = math.inf
+    legs: tuple[Leg, ...] = ()
+    #: slots ruled out for a second leg by a replica-attributable failure.
+    failed_slots: frozenset[int] = frozenset()
+    failures: tuple[ServeError, ...] = ()
+
+
+def _collect(state: LegState, errors: tuple, actions: list) -> LegState:
+    """``state`` with the ``(slot | None, error)`` pairs collected.
+
+    A replica-attributable failure also strikes its slot and rules it
+    out for a second leg.  A :class:`DeadlineExceededError` means the
+    request's own budget is spent, so no second leg can start.
+    """
+    for slot, error in errors:
+        state = state._replace(failures=state.failures + (error,))
+        if isinstance(error, DeadlineExceededError):
+            state = state._replace(spare=False, hedge_at=math.inf)
+        elif slot is not None and not isinstance(error, _REJECTIONS):
+            actions.append(("strike", slot))
+            state = state._replace(failed_slots=state.failed_slots | {slot})
+    return state
+
+
+def plan(state: LegState, event: tuple, now: float) -> tuple[LegState, list]:
+    """The dispatch rules: the next state and actions after ``event``.
+
+    Pure: it reads no clock (``now`` is given), takes no lock and calls
+    no breaker or handle, so every rule is testable with a fake clock.
+    A request has at most two legs, its primary and one second leg, and
+    ends in exactly one ``return`` or ``raise`` action.
+
+    Events:
+
+    * ``("placed", leg | None, errors, hedge_at)`` — the driver ran a
+      ``start``: ``leg`` is now in flight (``None``: none went out),
+      ``errors`` are the ``(slot | None, error)`` failures met on the
+      way, and ``hedge_at`` arms a first leg's timer hedge;
+    * ``("replied", leg, response)`` / ``("failed", leg, error)`` — a
+      live leg's reply decoded into a response, or into a typed error;
+    * ``("wake", breaker_open, can_hedge)`` — a wake-up, with the
+      caller's reads of the lone leg's breaker (is it open?) and of the
+      pool's hedge budget (may one more timer hedge fire?); both are
+      read only while the second leg is unused, the budget only once
+      the timer is due.
+
+    Actions: ``("start", exclude, fail_open)`` (place the second leg
+    outside ``exclude``; ``fail_open``: it may land on a slot whose
+    breaker refuses when none admits), ``("forget", leg)``,
+    ``("strike", slot)``, ``("return", leg, response)`` and
+    ``("raise", error)``.
+
+    =========================  ============================================
+    event                      actions
+    =========================  ============================================
+    ``placed``                 strike the slot of each replica-attributable
+                               error met on the way; a leg that went out
+                               is live; if none did and no leg is live,
+                               raise the first failure
+    ``replied``                the first reply wins: forget the other leg,
+                               strike it too if the winner was the second
+                               leg, return the response
+    ``failed``                 collect the error (replica-attributable:
+                               strike).  If no leg is left: a failover
+                               second leg, budget-exempt and allowed to
+                               fail open, while the second leg is unused,
+                               ``deadline_at`` is ahead and no
+                               :class:`DeadlineExceededError` was
+                               collected (which also spends the timer);
+                               else raise the first failure
+    ``wake`` at                forget and strike every live leg; raise the
+    ``deadline_at``            timeout
+    ``wake`` at ``hedge_at``   spend the timer, whatever else the wake-up
+                               does, so the driver never waits on a past
+                               instant
+    ``wake``, lone leg's       race it now with a budget-exempt second leg
+    breaker open               on a slot whose breaker admits traffic
+    ``wake`` at ``hedge_at``,  a budgeted second leg on a slot whose
+    budget allows              breaker admits traffic
+    =========================  ============================================
+
+    Only failover may fail open: the other second legs duplicate a leg
+    that is still live, so on a pool with no admitting slot they do not
+    start and the live leg keeps waiting.  Timer hedges are budgeted
+    because a saturated pool, where every request crosses the hedge
+    delay, must not hedge its whole workload; failover and the race away
+    from an open breaker duplicate no live work.  Losing a hedge race is
+    a strike because it is the only signal a *hung* replica produces.
+    """
+    actions: list = []
+    match event:
+        case ("placed", leg, errors, hedge_at):
+            state = _collect(state, errors, actions)
+            if leg is not None:
+                state = state._replace(
+                    legs=state.legs + (leg,), hedge_at=hedge_at,
+                    spare=state.spare and not leg.hedge,
+                )
+            elif not state.legs:
+                actions.append(("raise", state.failures[0]))
+        case ("replied", winner, response):
+            losers = [leg for leg in state.legs if leg != winner]
+            actions = [("forget", leg) for leg in losers]
+            if winner.hedge:
+                actions += [("strike", leg.slot) for leg in losers]
+            actions.append(("return", winner, response))
+            state = state._replace(legs=())
+        case ("failed", leg, error):
+            state = _collect(state._replace(legs=tuple(
+                live for live in state.legs if live != leg
+            )), ((leg.slot, error),), actions)
+            if not state.legs and state.spare and now < state.deadline_at:
+                actions.append(("start", state.failed_slots, True))
+            elif not state.legs:
+                actions.append(("raise", state.failures[0]))
+        case ("wake", _, _) if now >= state.deadline_at:
+            actions = [("forget", leg) for leg in state.legs]
+            state = _collect(state._replace(legs=()), tuple(
+                (leg.slot, ServeError(f"timed out on replica {leg.slot}"))
+                for leg in state.legs
+            ), actions)
+            actions.append(("raise", state.failures[-1]))
+        case ("wake", breaker_open, can_hedge) if state.spare:
+            due = now >= state.hedge_at
+            if due:
+                state = state._replace(hedge_at=math.inf)
+            if breaker_open or (due and can_hedge):
+                exclude = state.failed_slots | {state.legs[0].slot}
+                actions.append(("start", exclude, False))
+    return state, actions
+
+
 class ReplicaPool:
     """The serving backend: replica slots behind one serving surface.
 
@@ -703,6 +863,8 @@ class ReplicaPool:
             if isinstance(source, ReplicaSpec) else source
         ))
         self.config = config
+        #: the hedge policy in force; a one-slot pool has nowhere to hedge.
+        self._hedge = config.hedge if config.replicas > 1 else None
         # routing table: slot index -> live handle. Swapped atomically
         # under _route_lock (reads take the lock briefly; the actual
         # request wait happens outside it).
@@ -822,8 +984,8 @@ class ReplicaPool:
     def _routable_slot(
         self,
         primary: int,
-        exclude: frozenset[int] = frozenset(),
-        fail_open: bool = True,
+        exclude: frozenset[int],
+        fail_open: bool,
     ) -> tuple[int, _ReplicaHandle]:
         """First routable slot walking clockwise from ``primary``.
 
@@ -835,8 +997,8 @@ class ReplicaPool:
         open at once), the first live slot is used anyway — the pool
         fails *open*, because serving through a suspect replica beats
         a self-inflicted total outage, and one success re-closes its
-        breaker.  ``fail_open=False`` raises instead, for callers that
-        already hold a leg on a suspect replica.
+        breaker.  ``fail_open=False`` raises instead, for a second leg
+        that would duplicate one still live.
         """
         with self._route_lock:
             slots = list(self._slots)
@@ -911,8 +1073,7 @@ class ReplicaPool:
         try:
             self._admit_deadline(request, slot)
             response = self._dispatch(request, slot, wait, started)
-        except (OverloadedError, DeadlineExceededError,
-                EngineStoppedError) as error:
+        except _REJECTIONS as error:
             with self._lock:
                 self.rejected += 1
                 self.in_flight -= 1
@@ -995,205 +1156,131 @@ class ReplicaPool:
     ) -> InferenceResponse:
         """Dispatch with reroute, hedging, and breaker accounting.
 
-        One or two *legs* (primary + at most one hedge/failover) race
-        for the first interpretable reply.  Every leg ends in exactly
-        one of: won (response returned), failed (typed exception
-        collected), or forgotten (lost the race; its late reply is
-        dropped by the reader thread).  Breakers hear about
-        replica-attributable failures and about losing a hedge race —
-        that lost race is precisely how a *hung* replica, which never
-        reports anything, accumulates strikes.
+        The rules are :func:`plan`'s; this loop carries them out.  It
+        seeds a ``start`` for the primary, runs each action the planner
+        returns, and feeds it one event at a time — a placement, a
+        leg's reply or failure, or a wake-up after waiting on the legs'
+        shared group event until the planner's deadline or timer (and
+        at most 0.25 s, so a breaker opening meanwhile is seen) —
+        until an action returns or raises.
         """
         group = threading.Event()
-        deadline_at = started + wait
-        hedge = self.config.hedge if self.config.replicas > 1 else None
-        legs: list[dict[str, Any]] = []
-        failures: list[ServeError] = []
-        failed_slots: set[int] = set()
-        legs_started = 0
-
-        def note_failure(slot: int, error: ServeError) -> None:
-            failures.append(error)
-            failed_slots.add(slot)
-            breaker = self._breakers[slot]
-            if breaker is not None and not isinstance(
-                error,
-                (OverloadedError, EngineStoppedError, DeadlineExceededError),
-            ):
-                breaker.record_failure()
-
-        def start_leg(
-            exclude: frozenset[int], is_primary: bool, fail_open: bool = True
-        ) -> bool:
-            """Route + submit one leg; False if no leg went in flight."""
-            nonlocal legs_started
-            tried = exclude
-            for attempt in range(_REROUTE_ATTEMPTS):
-                try:
-                    slot, handle = self._routable_slot(
-                        primary, tried, fail_open
-                    )
-                except ServeError as error:
-                    if fail_open:
-                        failures.append(error)
-                    return False
-                try:
-                    leg_request = self._shrunk(request, started)
-                except DeadlineExceededError as error:
-                    failures.append(error)
-                    return False
-                try:
-                    rid, waiter = handle.submit_remote(leg_request, group)
-                except EngineStoppedError:
-                    # the slot began draining under us (rolling reload);
-                    # its replacement is (or will be) in the routing
-                    # table — brief backoff, then retry the same walk.
-                    if attempt == _REROUTE_ATTEMPTS - 1:
-                        failures.append(
-                            EngineStoppedError("replica is draining")
+        links: dict[Leg, tuple[Any, int, _Waiter]] = {}
+        state = LegState(started + wait, spare=self._hedge is not None)
+        actions: list = [("start", frozenset(), True)]
+        while True:
+            event = None
+            for action in actions:
+                match action:
+                    case ("strike", slot):
+                        if self._breakers[slot] is not None:
+                            self._breakers[slot].record_failure()
+                    case ("forget", leg):
+                        links[leg][0].forget(links[leg][1])
+                    case ("return", leg, response):
+                        if self._breakers[leg.slot] is not None:
+                            self._breakers[leg.slot].record_success()
+                        handle = links[leg][0]
+                        handle.latency_window.append(time.monotonic() - leg.t0)
+                        if leg.hedge:
+                            with self._lock:
+                                self.hedges_won += 1
+                        return response
+                    case ("raise", error):
+                        raise error
+                    case ("start", exclude, fail_open):
+                        event = self._place(
+                            request, primary, started, group, links,
+                            exclude, fail_open,
                         )
-                        return False
+            if event is None:
+                group.clear()
+                if not any(links[leg][2].event.is_set() for leg in state.legs):
+                    horizon = min(state.deadline_at, state.hedge_at)
+                    group.wait(max(0.0, min(horizon - time.monotonic(), 0.25)))
+            now = time.monotonic()
+            event = event or self._next_event(state, links, now)
+            state, actions = plan(state, event, now)
+
+    def _place(
+        self,
+        request: InferenceRequest,
+        primary: int,
+        started: float,
+        group: threading.Event,
+        links: dict[Leg, tuple[Any, int, _Waiter]],
+        exclude: frozenset[int],
+        fail_open: bool,
+    ) -> tuple:
+        """Route and submit one leg: the planner's ``placed`` event.
+
+        The leg's handle, rid and waiter go in ``links``, which thus
+        holds every leg this dispatch placed.  A slot whose submit fails
+        is walked past.  One that began draining under us (rolling
+        reload) is retried after a brief backoff: its replacement is (or
+        soon will be) in the routing table.  A first leg placed off its
+        routed slot counts as a spill and arms the timer hedge; a second
+        leg counts as a fired hedge.
+        """
+        second = bool(links)
+        errors: list[tuple[int | None, ServeError]] = []
+        for attempt in range(_REROUTE_ATTEMPTS):
+            try:
+                slot, handle = self._routable_slot(primary, exclude, fail_open)
+            except ServeError as error:
+                if fail_open:
+                    errors.append((None, error))
+                break
+            try:
+                rid, waiter = handle.submit_remote(
+                    self._shrunk(request, started), group
+                )
+            except ServeError as error:
+                draining = isinstance(error, EngineStoppedError)
+                if draining and attempt < _REROUTE_ATTEMPTS - 1:
                     time.sleep(0.05 * (attempt + 1))
                     continue
-                except ServeError as error:
-                    note_failure(slot, error)
-                    tried = tried | {slot}
-                    continue
-                if is_primary and slot != primary:
-                    with self._lock:
-                        self.spills += 1
-                legs.append({
-                    "slot": slot, "handle": handle, "rid": rid,
-                    "waiter": waiter, "t0": time.monotonic(),
-                    "is_hedge": not is_primary,
-                })
-                legs_started += 1
-                return True
-            failures.append(
-                ServeError("could not place request on any replica")
-            )
-            return False
-
-        if not start_leg(frozenset(), is_primary=True):
-            raise failures[0]
-        hedge_at: float | None = None
-        if hedge is not None:
-            hedge_at = legs[0]["t0"] + hedge.delay_s(
-                list(legs[0]["handle"].latency_window)
-            )
-        while True:
-            group.clear()
-            # harvest any completed legs (first interpretable win ends
-            # the race; terminal failures are collected and may trigger
-            # an immediate failover below).
-            for leg in list(legs):
-                if not leg["waiter"].event.is_set():
-                    continue
-                legs.remove(leg)
-                elapsed = time.monotonic() - leg["t0"]
-                try:
-                    response = _interpret(leg["waiter"])
-                except (OverloadedError, DeadlineExceededError,
-                        EngineStoppedError) as error:
-                    failures.append(error)
-                except ServeError as error:
-                    note_failure(leg["slot"], error)
-                else:
-                    breaker = self._breakers[leg["slot"]]
-                    if breaker is not None:
-                        breaker.record_success()
-                    leg["handle"].latency_window.append(elapsed)
-                    if leg["is_hedge"]:
-                        with self._lock:
-                            self.hedges_won += 1
-                    for loser in legs:
-                        loser["handle"].forget(loser["rid"])
-                        if leg["is_hedge"]:
-                            # the primary lost the race it should have
-                            # won by the hedge delay's margin: that is
-                            # a strike, and the only signal a *hung*
-                            # replica ever produces.
-                            loser_breaker = self._breakers[loser["slot"]]
-                            if loser_breaker is not None:
-                                loser_breaker.record_failure()
-                    return response
-            if hedge is not None and legs_started < 2 and legs:
-                # the lone leg waits on a slot whose breaker is open
-                # (other traffic proved the slot sick): race the unused
-                # second leg, budget-exempt, on a slot whose breaker
-                # admits traffic instead of waiting out the deadline.
-                # With no such slot (a leg placed fail-open, say), keep
-                # waiting on this one.
-                leg = legs[0]
-                breaker = self._breakers[leg["slot"]]
-                if (
-                    breaker is not None
-                    and breaker.state == CircuitBreaker.OPEN
-                    and start_leg(
-                        frozenset(failed_slots | {leg["slot"]}),
-                        is_primary=False, fail_open=False,
-                    )
-                ):
-                    with self._lock:
-                        self.hedges_fired += 1
-                    hedge_at = None
-            now = time.monotonic()
-            if not legs:
-                # every started leg failed terminally.  With hedging
-                # enabled and the second leg unused, fail over at once:
-                # inference is pure, so re-dispatch is safe.
-                if (
-                    hedge is not None
-                    and legs_started < 2
-                    and now < deadline_at
-                    and not any(
-                        isinstance(f, DeadlineExceededError)
-                        for f in failures
-                    )
-                ):
-                    if start_leg(frozenset(failed_slots), is_primary=False):
-                        with self._lock:
-                            self.hedges_fired += 1
-                        hedge_at = None
-                        continue
-                raise failures[0]
-            if now >= deadline_at:
-                for leg in legs:
-                    leg["handle"].forget(leg["rid"])
-                    note_failure(
-                        leg["slot"],
-                        ServeError(
-                            f"timed out after {wait}s waiting on replica "
-                            f"{leg['slot']}"
-                        ),
-                    )
-                raise failures[-1]
-            if (
-                hedge_at is not None
-                and now >= hedge_at
-                and legs_started < 2
-                and len(legs) == 1
-            ):
-                hedge_at = None
-                # timer hedges duplicate live work, so they draw from
-                # the policy's load budget; a saturated pool where
-                # *every* request crosses the p95 delay must not hedge
-                # its whole workload.  (Failover after a terminal
-                # failure, above, is exempt — it duplicates nothing.)
+                errors.append((slot, error))
+                if isinstance(error, _REJECTIONS):  # still draining, or late
+                    break
+                exclude = exclude | {slot}
+                continue
+            leg = Leg(slot, time.monotonic(), hedge=second)
+            links[leg] = (handle, rid, waiter)
+            if second or slot != primary:
                 with self._lock:
-                    can_hedge = self.hedges_fired < hedge.budget(
-                        self.accepted
-                    )
-                exclude = frozenset(
-                    failed_slots | {leg["slot"] for leg in legs}
-                )
-                if can_hedge and start_leg(exclude, is_primary=False):
-                    with self._lock:
+                    if second:
                         self.hedges_fired += 1
-            horizon = deadline_at
-            if hedge_at is not None and hedge_at < horizon:
-                horizon = hedge_at
-            group.wait(max(0.0, min(horizon - time.monotonic(), 0.25)))
+                    else:
+                        self.spills += 1
+            if second or self._hedge is None:
+                return ("placed", leg, tuple(errors), math.inf)
+            delay = self._hedge.delay_s(list(handle.latency_window))
+            return ("placed", leg, tuple(errors), leg.t0 + delay)
+        return ("placed", None, tuple(errors), math.inf)
+
+    def _next_event(self, state: LegState, links: dict, now: float) -> tuple:
+        """The planner's next event: the first finished leg's reply or
+        failure, else a wake-up.  While the second leg is unused it
+        carries the two reads the planner's rules need: is the lone
+        leg's breaker open, and, once the timer is due, may one more
+        timer hedge fire?  (A due timer implies an unused second leg:
+        the planner spends the timer whenever it clears ``spare``.)
+        """
+        for leg in state.legs:
+            if links[leg][2].event.is_set():
+                try:
+                    return ("replied", leg, _interpret(links[leg][2]))
+                except ServeError as error:
+                    return ("failed", leg, error)
+        breaker = self._breakers[state.legs[0].slot] if state.spare else None
+        is_open = breaker is not None and breaker.state == CircuitBreaker.OPEN
+        can_hedge = False
+        if now >= state.hedge_at:
+            # unlocked: the budget is checked here but only charged when
+            # the hedge goes out, so the lock would make it no more exact
+            can_hedge = self.hedges_fired < self._hedge.budget(self.accepted)
+        return ("wake", is_open, can_hedge)
 
     def _note_latency(
         self, task: str, model_id: str, total_s: float

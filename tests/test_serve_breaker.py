@@ -104,7 +104,7 @@ class TestHalfOpen:
         self._half_open(breaker, clock)
         assert breaker.allow()  # the probe
         assert not breaker.allow()  # throttled
-        clock.advance(1.01)  # probe_interval_s == cooldown_s here
+        clock.advance(1.01)  # one probe per cooldown
         assert breaker.allow()
         assert breaker.stats()["probes_fired"] == 2
 
@@ -130,14 +130,12 @@ class TestHalfOpen:
         # a probe whose outcome is never reported (hedge loser whose
         # reply was forgotten) must not wedge the breaker: admission is
         # time-throttled, not in-flight-counted.
-        breaker = CircuitBreaker(
-            threshold=1, cooldown_s=1.0, probes=4, clock=clock
-        )
+        breaker = CircuitBreaker(threshold=1, cooldown_s=1.0, clock=clock)
         breaker.record_failure()
         clock.advance(1.01)
         assert breaker.allow()  # probe fired, outcome never reported
         assert not breaker.allow()
-        clock.advance(0.26)  # probe_interval_s = 1.0 / 4
+        clock.advance(1.0)  # one cooldown later
         assert breaker.allow()
 
     def test_reset_force_closes(self, breaker, clock):

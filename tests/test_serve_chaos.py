@@ -316,6 +316,75 @@ class TestFailOpen:
             handle.draining = False
             pool.stop(drain=True)
 
+    @pytest.mark.parametrize("other", ["draining", "breaker_open"])
+    def test_stranded_leg_past_its_timer_waits_without_spinning(
+        self, stub_registry, serve_context, other
+    ):
+        # the lone leg sits on a slow slot whose breaker is open, no slot
+        # admits a race, and the timer falls due: the dispatcher must
+        # spend the timer and go back to waiting, not wake at once on
+        # every pass until the reply comes
+        plan = ServeFaultPlan((
+            ServeFaultSpec(kind="slow", replica=0, seconds=0.6),
+        ))
+        with chaos.injected(plan):
+            pool = make_pool(
+                stub_registry, hedge=HedgePolicy(floor_s=0.05, ceiling_s=0.05)
+            )
+        handle = pool._slots[1]
+        try:
+            tripped = [0] if other == "draining" else [0, 1]
+            if other == "draining":
+                handle.draining = True
+            for slot in tripped:
+                for _ in range(2):
+                    pool._breakers[slot].record_failure()
+            cpu = time.thread_time()
+            response = pool.infer(
+                TASK_QA, sentence_for_slot(pool, 0, serve_context),
+                serve_context,
+            )
+            cpu = time.thread_time() - cpu
+            assert response.ok, response.error
+            assert pool.stats()["hedges"]["fired"] == 0
+            # the dispatcher runs on this thread; waiting costs it next
+            # to no CPU, a busy-wait costs it most of the 0.6 s
+            assert cpu < 0.2, f"dispatcher burned {cpu:.3f}s of CPU"
+        finally:
+            handle.draining = False
+            pool.stop(drain=True)
+
+    def test_timer_hedge_never_targets_an_open_breaker(
+        self, stub_registry, serve_context
+    ):
+        # slot 0 is slow but healthy; slot 1's breaker is open.  The
+        # timer hedge has nowhere admitting to go, so it must not fire
+        # fail-open into slot 1 (bypassing its half-open probe) nor
+        # strike slot 0 for losing that race.
+        plan = ServeFaultPlan((
+            ServeFaultSpec(kind="slow", replica=0, seconds=0.4),
+        ))
+        with chaos.injected(plan):
+            pool = make_pool(
+                stub_registry, hedge=HedgePolicy(floor_s=0.05, ceiling_s=0.05)
+            )
+        try:
+            for _ in range(2):
+                pool._breakers[1].record_failure()
+            response = pool.infer(
+                TASK_QA, sentence_for_slot(pool, 0, serve_context),
+                serve_context,
+            )
+            assert response.ok, response.error
+            stats = pool.stats()
+            assert stats["hedges"]["fired"] == 0
+            assert pool.replica_states()[1]["state"] == "breaker_open"
+            assert stats["replicas"][0]["breaker"][
+                "consecutive_failures"
+            ] == 0
+        finally:
+            pool.stop(drain=True)
+
 
 class TestCrashingReplica:
     def test_failover_completes_and_slot_respawns(
